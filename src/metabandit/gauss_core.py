@@ -26,14 +26,19 @@ def symmetrize(a):
 def cholesky(a):
     """Lower-triangular L with L @ L.T == a + jitter * I.
 
-    The jitter escalates through `JITTERS` until numpy's factorization
-    succeeds; raises NotPsd if the matrix is indefinite beyond repair.
+    A matrix that factors as given returns numpy's factor unchanged; only on
+    failure does the jitter escalate through the rest of `JITTERS`.  Raises
+    NotPsd if the matrix is indefinite beyond repair.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotPsd(f"expected a square matrix, got shape {a.shape}")
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        pass
     eye = np.eye(a.shape[0])
-    for jitter in JITTERS:
+    for jitter in JITTERS[1:]:
         try:
             return np.linalg.cholesky(a + jitter * eye)
         except np.linalg.LinAlgError:

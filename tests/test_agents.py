@@ -183,6 +183,37 @@ def test_incremental_linear_equals_batch_normal_equations():
     assert np.allclose(post.cov, spd_inverse(prec), atol=1e-10)
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_rank_one_updates_track_batch_normal_equations(dim):
+    """1000 Sherman-Morrison updates stay on the batch normal-equation
+    posterior, computed independently from one precision factorization."""
+    rng = np.random.default_rng(100 + dim)
+    noise_var = 0.8
+    prior_mean = rng.standard_normal(dim)
+    root = rng.standard_normal((dim, dim))
+    prior_cov = 0.1 * (root @ root.T) / dim + 0.05 * np.eye(dim)
+    post = agents.FullTaskPosterior(prior_mean, prior_cov)
+    feats = rng.uniform(-0.5, 0.5, size=(1000, dim))
+    ys = rng.standard_normal(1000)
+    for a, y in zip(feats, ys):
+        post.update_feature(a, y, noise_var)
+    prior_prec = spd_inverse(prior_cov)
+    prec = prior_prec + feats.T @ feats / noise_var
+    mean = solve_spd(prec, prior_prec @ prior_mean + feats.T @ ys / noise_var)
+    assert np.allclose(post.mean, mean, rtol=0, atol=1e-10)
+    assert np.allclose(post.cov, spd_inverse(prec), rtol=0, atol=1e-10)
+
+
+def test_zero_width_task_prior_stays_point_mass():
+    center = np.array([0.3, -0.7, 0.2])
+    post = agents.FullTaskPosterior(center, np.zeros((3, 3)))
+    rng = np.random.default_rng(18)
+    for _ in range(50):
+        post.update_feature(rng.uniform(-0.5, 0.5, 3), float(rng.standard_normal()), 1.0)
+    assert np.array_equal(post.mean, center)
+    assert np.array_equal(post.cov, np.zeros((3, 3)))
+
+
 # ---------------------------------------------------------------------------
 # end-of-task meta updates
 # ---------------------------------------------------------------------------
@@ -349,16 +380,60 @@ def test_recursive_equals_batch_linear():
     assert np.allclose(meta.cov, cov, rtol=1e-8, atol=1e-10)
 
 
-def test_semibandit_update_equals_k_armed_update():
-    spec = hierarchy.semibandit_env(3, 1, sigma_q=0.6, sigma_0=0.1, noise_sigma=1.0)
+def test_recursive_equals_batch_linear_anisotropic_dim_4():
+    """Per-coordinate widths make C sigma_0 and cov P non-commuting products."""
+    rng = np.random.default_rng(19)
+    actions = rng.uniform(-0.5, 0.5, size=(20, 4))
+    spec = hierarchy.linear_env(4, [1.0, 0.5, 0.8, 1.2], [0.1, 0.2, 0.1, 0.3], 0.9,
+                                actions=actions)
     meta = agents.initial_meta_posterior(spec)
-    summary = agents.ArmSummary(3)
-    summary.add_subset({0: 0.4})
-    summary.add_subset({2: -0.2})
-    semi = agents.end_task_semibandit(meta, summary, spec)
-    arm = agents.end_task_gaussian(meta, summary, spec)
-    assert np.array_equal(semi.mean, arm.mean)
-    assert np.array_equal(semi.var, arm.var)
+    summaries = []
+    for _ in range(12):
+        summary = agents.LinearSummary(4)
+        for _ in range(int(rng.integers(0, 40))):
+            summary.add(actions[rng.integers(20)], float(rng.standard_normal()))
+        summaries.append(summary)
+        meta = agents.end_task_linear(meta, summary, spec)
+    mean, cov = batch_linear_meta(spec, summaries)
+    assert np.allclose(meta.mean, mean, rtol=1e-8, atol=1e-10)
+    assert np.allclose(meta.cov, cov, rtol=1e-8, atol=1e-10)
+
+
+def test_linear_meta_update_point_masses_stay_exact():
+    """A zero meta-covariance never moves; a zero-width task prior passes the
+    task's evidence through undeflated."""
+    rng = np.random.default_rng(20)
+    actions = rng.uniform(-0.5, 0.5, size=(10, 3))
+    summary = agents.LinearSummary(3)
+    for _ in range(30):
+        summary.add(actions[rng.integers(10)], float(rng.standard_normal()))
+    mu_q = np.array([0.4, -0.3, 0.1])
+    fixed = hierarchy.linear_env(3, 0.0, 0.1, 1.0, actions=actions, mu_q=mu_q)
+    meta = agents.initial_meta_posterior(fixed)
+    out = agents.end_task_linear(meta, summary, fixed)
+    assert np.array_equal(out.mean, mu_q)
+    assert np.array_equal(out.cov, np.zeros((3, 3)))
+    exact = hierarchy.linear_env(3, 1.0, 0.0, 1.0, actions=actions)
+    meta = agents.initial_meta_posterior(exact)
+    out = agents.end_task_linear(meta, summary, exact)
+    prec = np.eye(3) + summary.gram
+    assert np.allclose(out.cov, spd_inverse(prec), atol=1e-12)
+    assert np.allclose(out.mean, solve_spd(prec, summary.weighted), atol=1e-12)
+
+
+def test_semibandit_update_equals_k_armed_update():
+    """A semibandit agent's meta-update is the K-armed update applied to its
+    subset-membership counts."""
+    spec = hierarchy.semibandit_env(3, 1, sigma_q=0.6, sigma_0=0.1, noise_sigma=1.0)
+    agent = agents.GaussianFamilyAgent(agents.AgentKind("ada-ts"), spec, RngStream(0))
+    meta = agent.meta.copy()
+    agent.begin_task(1, 1)
+    for observation in ({0: 0.4}, {2: -0.2}):
+        agent.observe(tuple(observation), observation)
+    agent.end_task()
+    arm = agents.end_task_gaussian(meta, agent.summary, spec)
+    assert np.array_equal(agent.meta.mean, arm.mean)
+    assert np.array_equal(agent.meta.var, arm.var)
 
 
 def test_semibandit_zero_width_arm_gains_full_precision():
@@ -369,7 +444,7 @@ def test_semibandit_zero_width_arm_gains_full_precision():
     summary = agents.ArmSummary(2)
     for _ in range(4):
         summary.add_subset({0: 0.3})
-    out = agents.end_task_semibandit(meta, summary, spec)
+    out = agents.end_task_gaussian(meta, summary, spec)
     increment = 1.0 / out.var[0] - 1.0 / meta.var[0]
     assert increment == pytest.approx(4.0, rel=1e-12)
 
@@ -381,14 +456,14 @@ def test_semibandit_single_membership_increment():
     meta = agents.initial_meta_posterior(spec)
     summary = agents.ArmSummary(3)
     summary.add_subset({0: 0.1, 1: 0.2, 2: 0.3})
-    out = agents.end_task_semibandit(meta, summary, spec)
+    out = agents.end_task_gaussian(meta, summary, spec)
     for k, width in enumerate((0.1, 0.2, 0.3)):
         increment = 1.0 / out.var[k] - 1.0 / meta.var[k]
         assert increment == pytest.approx(1.0 / (width**2 + 1.0), rel=1e-12)
 
 
 def test_monotone_concentration_random_sequences():
-    """Meta variances never grow; within-task precision never loses mass."""
+    """Meta variances never grow; within-task covariance never grows."""
     rng = np.random.default_rng(17)
     for _ in range(1000):
         k = int(rng.integers(1, 4))
@@ -410,7 +485,7 @@ def test_monotone_concentration_random_sequences():
         for _ in range(3):
             a = rng.uniform(-0.5, 0.5, k)
             new_post = agents.update_task_posterior(post, a, float(rng.standard_normal()), 1.0)
-            cholesky(new_post.prec - post.prec)  # PSD or NotPsd raises
+            cholesky(post.cov - new_post.cov)  # PSD or NotPsd raises
             post = new_post
 
 

@@ -60,6 +60,54 @@ def test_usage_errors_exit_2():
     assert cli.main(run_argv(**{"--sigma-q": None})) == 2         # needs --sigma-q
 
 
+LINEAR_FLAGS = {"--env": "linear", "--dim": "2", "--arms": "10", "--sigma-q": "1"}
+
+BAD_INPUTS = [
+    ("--sigma-q", "nan"), ("--sigma-q", "inf"), ("--sigma-q", "-0.5"),
+    ("--sigma-0", "nan"), ("--sigma-0", "inf"), ("--sigma-0", "-0.1"),
+    ("--noise", "nan"), ("--noise", "inf"), ("--noise", "0"), ("--noise", "-1"),
+    ("--tasks", "0"), ("--rounds", "0"), ("--runs", "0"),
+    ("--budget", "11"),
+]
+
+
+@pytest.mark.parametrize("env", ["gaussian", "linear"])
+@pytest.mark.parametrize("flag,value", BAD_INPUTS)
+def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, env, flag, value):
+    out = tmp_path / "out.csv"
+    overrides = {"--tasks": "2", "--rounds": "3", "--runs": "2", "--arms": "10"}
+    if env == "linear":
+        overrides.update(LINEAR_FLAGS)
+    overrides[flag] = value
+    assert cli.main(run_argv(out=str(out), **overrides)) == 2
+    assert flag in capsys.readouterr().err.partition("error:")[2]
+    assert not out.exists()
+
+
+def test_semibandit_budget_above_arms_exits_2(capsys):
+    assert cli.main(run_argv(**{"--env": "semibandit", "--arms": "3", "--budget": "4"})) == 2
+    assert "--budget" in capsys.readouterr().err.partition("error:")[2]
+
+
+def test_non_finite_regret_exits_1_without_csv(tmp_path, capsys, monkeypatch):
+    real_run = harness.run_experiment
+
+    def poisoned(config, workers=1):
+        trace = real_run(config, workers)
+        trace.instant["ada-ts"][0, 1, 2] = np.nan
+        return trace
+
+    monkeypatch.setattr(harness, "run_experiment", poisoned)
+    out = tmp_path / "out.csv"
+    argv = run_argv(out=str(out), **{
+        "--tasks": "2", "--rounds": "3", "--runs": "2", "--agents": "ts,ada-ts",
+    })
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "'ada-ts'" in err and "non-finite" in err
+    assert not out.exists()
+
+
 def test_linear_dim_implies_five_d_arms():
     inv = cli.parse(
         ["run", "--env", "linear", "--dim", "2", "--sigma-q", "1",
