@@ -14,6 +14,10 @@ each new task:
 Between tasks the adaptive policies absorb the task's sufficient statistics
 into a meta-posterior over the task-prior mean (Gaussian families) or over
 the mixture component (Bernoulli mixture family).
+
+The Gaussian-family state (posteriors, meta-posteriors, sufficient
+statistics) works with or without a leading run axis, so one agent can play
+many independent runs in lockstep; see GaussianFamilyAgent.
 """
 
 from dataclasses import dataclass, replace
@@ -21,7 +25,7 @@ import numpy as np
 from scipy.special import betaln
 
 from . import hierarchy
-from .gauss_core import mvn_sample, symmetrize
+from .gauss_core import RunStreams, dot, matvec, mvn_sample, symmetrize
 # Not used here: the benchmark's tracer wraps these names in this module and
 # checks that a linear round calls neither.
 from .gauss_core import solve_spd, spd_inverse  # noqa: F401
@@ -106,7 +110,7 @@ class DiagonalMetaPosterior:
         return DiagonalMetaPosterior(self.mean, self.var)
 
     def sample(self, rng):
-        return self.mean + np.sqrt(self.var) * rng.standard_normal(self.mean.shape[0])
+        return self.mean + np.sqrt(self.var) * rng.standard_normal(self.mean.shape[-1])
 
 
 class FullMetaPosterior:
@@ -123,16 +127,21 @@ class FullMetaPosterior:
 
     def sample(self, rng):
         if not np.any(self.cov):
-            # Point mass: sample exactly, no jitter noise.
+            # Point mass: sample exactly, no jitter noise.  With a run axis
+            # the test covers all runs; they agree, since the meta-update
+            # keeps a covariance zero exactly when the meta-prior is zero.
             return self.mean.copy()
         return mvn_sample(self.mean, self.cov, rng)
 
 
-def initial_meta_posterior(spec):
-    """Meta-posterior before any task: the meta-prior itself."""
+def initial_meta_posterior(spec, runs=None):
+    """Meta-posterior before any task: the meta-prior itself, repeated for
+    each of `runs` runs when given."""
+    lead = () if runs is None else (runs,)
+    mean = np.broadcast_to(spec.mu_q, lead + spec.mu_q.shape)
     if spec.family == hierarchy.LINEAR:
-        return FullMetaPosterior(spec.mu_q, spec.sigma_q)
-    return DiagonalMetaPosterior(spec.mu_q, np.diag(spec.sigma_q))
+        return FullMetaPosterior(mean, np.broadcast_to(spec.sigma_q, lead + spec.sigma_q.shape))
+    return DiagonalMetaPosterior(mean, np.broadcast_to(np.diag(spec.sigma_q), mean.shape))
 
 
 def _diagonal_meta_update(meta, counts, sums, sigma0_var, noise_var):
@@ -140,6 +149,7 @@ def _diagonal_meta_update(meta, counts, sums, sigma0_var, noise_var):
     zero-width task priors stay exact point masses."""
     mean = meta.mean.copy()
     var = meta.var.copy()
+    sigma0_var = np.broadcast_to(sigma0_var, var.shape)
     # zero-variance arms are point masses: data cannot move them, and
     # skipping them keeps the stored mean bit-exact
     pulled = (counts > 0) & (var > 0)
@@ -178,17 +188,18 @@ def end_task_linear(meta, summary, spec):
     meta-posterior stays exact.
     """
     noise_var = spec.noise_sigma**2
-    dim = meta.mean.shape[0]
+    dim = meta.mean.shape[-1]
     eye = np.eye(dim)
     c = summary.gram / noise_var
     b = summary.weighted / noise_var
-    inc = np.linalg.solve(eye + c @ spec.sigma_0, np.column_stack([c, b]))
-    prec_inc, shift_inc = inc[:, :dim], inc[:, dim]
+    inc = np.linalg.solve(eye + c @ spec.sigma_0, np.concatenate([c, b[..., None]], axis=-1))
+    prec_inc, shift_inc = inc[..., :dim], inc[..., dim]
+    shifted = meta.mean + matvec(meta.cov, shift_inc)
     out = np.linalg.solve(
         eye + meta.cov @ prec_inc,
-        np.column_stack([meta.cov, meta.mean + meta.cov @ shift_inc]),
+        np.concatenate([meta.cov, shifted[..., None]], axis=-1),
     )
-    return FullMetaPosterior(out[:, dim], out[:, :dim])
+    return FullMetaPosterior(out[..., dim], out[..., :dim])
 
 
 # ---------------------------------------------------------------------------
@@ -197,59 +208,67 @@ def end_task_linear(meta, summary, spec):
 
 
 class ArmSummary:
-    """Pull counts and reward sums per arm for one task."""
+    """Pull counts and reward sums per arm for one task (per run, as
+    (runs, num_arms) arrays, when `runs` is given)."""
 
     __slots__ = ("counts", "sums")
 
-    def __init__(self, num_arms):
-        self.counts = np.zeros(num_arms, dtype=int)
-        self.sums = np.zeros(num_arms)
+    def __init__(self, num_arms, runs=None):
+        shape = (num_arms,) if runs is None else (runs, num_arms)
+        self.counts = np.zeros(shape, dtype=int)
+        self.sums = np.zeros(shape)
 
     def add(self, arm, reward):
-        self.counts[arm] += 1
-        self.sums[arm] += reward
-
-    def add_subset(self, rewards):
-        for arm, reward in rewards.items():
-            self.counts[arm] += 1
-            self.sums[arm] += reward
+        """Count a pull of `arm` (an arm, or an array of distinct arms; per
+        run, one arm or one row of arms for each run) with its reward."""
+        at = hierarchy.flat_index(self.counts.shape, arm)
+        counts, sums = hierarchy.flat_view(self.counts), hierarchy.flat_view(self.sums)
+        counts[at] += 1
+        sums[at] += reward
 
 
 class LinearSummary:
-    """Gram matrix and reward-weighted feature sum for one task."""
+    """Gram matrix and reward-weighted feature sum for one task (per run
+    when `runs` is given)."""
 
     __slots__ = ("gram", "weighted")
 
-    def __init__(self, dim):
-        self.gram = np.zeros((dim, dim))
-        self.weighted = np.zeros(dim)
+    def __init__(self, dim, runs=None):
+        lead = () if runs is None else (runs,)
+        self.gram = np.zeros(lead + (dim, dim))
+        self.weighted = np.zeros(lead + (dim,))
 
     def add(self, feature, reward):
-        self.gram += np.outer(feature, feature)
-        self.weighted += feature * reward
+        self.gram += feature[..., :, None] * feature[..., None, :]
+        self.weighted += feature * np.asarray(reward)[..., None]
 
 
 class DiagonalTaskPosterior:
     """Independent per-arm Gaussian posterior, updated in variance form so
-    zero-variance arms remain exact."""
+    zero-variance arms remain exact.  `var` is repeated along any run axis
+    `mean` has."""
 
     __slots__ = ("mean", "var")
 
     def __init__(self, mean, var):
-        self.mean = np.array(mean, dtype=float)
-        self.var = np.array(var, dtype=float)
+        self.mean = np.array(mean, dtype=float, order="C")
+        self.var = np.array(np.broadcast_to(var, self.mean.shape), dtype=float, order="C")
 
     def copy(self):
         return DiagonalTaskPosterior(self.mean, self.var)
 
     def update_arm(self, arm, reward, noise_var):
-        v = self.var[arm]
+        """Condition on `reward` from `arm`: arms and rewards as in
+        ArmSummary.add."""
+        at = hierarchy.flat_index(self.var.shape, arm)
+        mean, var = hierarchy.flat_view(self.mean), hierarchy.flat_view(self.var)
+        v = var[at]
         denom = v + noise_var
-        self.mean[arm] = (self.mean[arm] * noise_var + reward * v) / denom
-        self.var[arm] = v * noise_var / denom
+        mean[at] = (mean[at] * noise_var + reward * v) / denom
+        var[at] = v * noise_var / denom
 
     def sample(self, rng):
-        return self.mean + np.sqrt(self.var) * rng.standard_normal(self.mean.shape[0])
+        return self.mean + np.sqrt(self.var) * rng.standard_normal(self.mean.shape[-1])
 
     @property
     def cov(self):
@@ -262,30 +281,34 @@ class FullTaskPosterior:
     Each observation is folded in by a Sherman-Morrison rank-one update, so
     no update factors or inverts anything; the only factorization is the one
     `sample` needs.  The downdate term outer(cf, cf) is exactly symmetric,
-    and a zero covariance (a point-mass prior) stays exactly zero.
+    and a zero covariance (a point-mass prior) stays exactly zero.  `cov` is
+    repeated along any run axis `mean` has, and `update_feature` then takes
+    one feature and reward per run.
     """
 
     __slots__ = ("mean", "cov")
 
     def __init__(self, mean, cov):
         self.mean = np.array(mean, dtype=float)
-        self.cov = symmetrize(cov)
+        self.cov = symmetrize(np.broadcast_to(cov, self.mean.shape + self.mean.shape[-1:]))
 
     def copy(self):
         return FullTaskPosterior(self.mean, self.cov)
 
     def update_feature(self, feature, reward, noise_var):
-        cf = self.cov @ feature
-        denom = noise_var + feature @ cf
-        self.mean = self.mean + cf * ((reward - feature @ self.mean) / denom)
-        self.cov = self.cov - np.outer(cf, cf) / denom
+        cf = matvec(self.cov, feature)
+        denom = noise_var + dot(feature, cf)
+        gain = (reward - dot(feature, self.mean)) / denom
+        self.mean = self.mean + cf * gain[..., None]
+        self.cov = self.cov - cf[..., :, None] * cf[..., None, :] / denom[..., None, None]
 
     def sample(self, rng):
         return mvn_sample(self.mean, self.cov, rng)
 
 
 def begin_task(kind, meta, spec, rng, mu_star=None):
-    """Task prior for a fresh task under the given policy.
+    """Task prior for a fresh task under the given policy, with the run axis
+    of `meta` (and of `mu_star`) if it has one.
 
     Gaussian families only; the mixture analogue lives in MixtureFamilyAgent.
     """
@@ -301,9 +324,10 @@ def begin_task(kind, meta, spec, rng, mu_star=None):
             raise ValueError("oracle-ts needs the true mu_star")
         center = np.asarray(mu_star, dtype=float)
     elif kind.base == AGNOSTIC_TS:
+        center = np.broadcast_to(spec.mu_q, meta.mean.shape)
         if isinstance(meta, DiagonalMetaPosterior):
-            return DiagonalTaskPosterior(spec.mu_q, np.diag(spec.sigma_q) + np.diag(sigma_0))
-        return FullTaskPosterior(spec.mu_q, spec.sigma_q + sigma_0)
+            return DiagonalTaskPosterior(center, np.diag(spec.sigma_q) + np.diag(sigma_0))
+        return FullTaskPosterior(center, spec.sigma_q + sigma_0)
     else:
         raise UnknownAgent(f"{kind.base!r} has no Gaussian task prior")
     if isinstance(meta, DiagonalMetaPosterior):
@@ -314,16 +338,19 @@ def begin_task(kind, meta, spec, rng, mu_star=None):
 def ts_select(posterior, actions, rng):
     """Sample a parameter from the posterior and play greedily against it.
 
-    ``actions`` is the arm count (int), the feature matrix (linear), or a
-    (num_arms, budget) pair (semibandit).  Ties go to the lowest index.
+    ``actions`` is the arm count (int), the feature matrix (linear, with a
+    leading run axis when each run has its own), or a (num_arms, budget) pair
+    (semibandit).  Ties go to the lowest index.  A posterior with a run axis
+    gives one action per run: an int array, or (runs, budget) for subsets.
     """
     theta = posterior.sample(rng)
-    if isinstance(actions, (int, np.integer)):
-        return int(np.argmax(theta))
     if isinstance(actions, tuple):
         _, budget = actions
         return hierarchy.top_subset(theta, budget)
-    return int(np.argmax(np.asarray(actions) @ theta))
+    if not isinstance(actions, (int, np.integer)):
+        theta = matvec(np.asarray(actions), theta)
+    best = np.argmax(theta, axis=-1)
+    return int(best) if best.ndim == 0 else best
 
 
 def update_task_posterior(posterior, action, observation, noise_sigma):
@@ -542,41 +569,56 @@ def mixture_ts_select(state, rng):
 
 
 class GaussianFamilyAgent:
-    """One policy's state across a run of tasks (Gaussian reward families)."""
+    """One policy's state across a run of tasks (Gaussian reward families).
+
+    Built with an RngStream the agent plays one run: `act` returns an arm, a
+    subset tuple or a linear action (index or feature vector) and the state
+    has no run axis.  Built with a RunStreams it plays that object's R runs
+    in lockstep: `mu_star`, `exploration_actions` and, when each run has its
+    own, the linear action set carry a leading run axis, so does all state,
+    and `act` returns one action per run (arms (R,), subsets (R, budget),
+    linear indices (R,) or forced-exploration feature vectors (R, dim)).
+    Each run consumes its own stream exactly as it would alone.
+    """
 
     def __init__(self, kind, spec, rng, mu_star=None, exploration_actions=None):
         self.kind = kind
         self.spec = scale_meta_prior(spec, kind.scale) if kind.scale != 1.0 else spec
         self.rng = rng
+        self.runs = rng.runs if isinstance(rng, RunStreams) else None
         self.mu_star = mu_star
-        self.meta = initial_meta_posterior(self.spec)
+        self.meta = initial_meta_posterior(self.spec, self.runs)
         self.noise_var = spec.noise_sigma**2
         self._learns = kind.base in (META_TS, ADA_TS, ADA_TS_FORCED)
-        self._m = None
+        if self.runs is not None and exploration_actions is not None:
+            # forced_exploration_plan lists the plan's rounds along axis 0
+            exploration_actions = np.swapaxes(exploration_actions, 0, 1)
         self.exploration_actions = exploration_actions
         if spec.family == hierarchy.LINEAR:
             self._actions = spec.actions
+            per_run = (spec.dim,)
         elif spec.family == hierarchy.SEMIBANDIT:
             self._actions = (spec.num_arms, spec.budget)
+            per_run = (spec.budget,)
         else:
             self._actions = spec.num_arms
+            per_run = ()
+        self._plan_shape = None if self.runs is None else (self.runs,) + per_run
         self.post = None
         self.summary = None
         self.plan = []
 
     def begin_task(self, s, m):
-        self._m = m
         self.post = begin_task(self.kind, self.meta, self.spec, self.rng, self.mu_star)
         if self.spec.family == hierarchy.LINEAR:
-            self.summary = LinearSummary(self.spec.dim)
+            self.summary = LinearSummary(self.spec.dim, self.runs)
         else:
-            self.summary = ArmSummary(self.spec.num_arms)
+            self.summary = ArmSummary(self.spec.num_arms, self.runs)
+        self.plan = []
         if self.kind.base == ADA_TS_FORCED:
-            self.plan = forced_exploration_plan(
-                s, m, self.spec, self.exploration_actions
-            )
-        else:
-            self.plan = []
+            self.plan = forced_exploration_plan(s, m, self.spec, self.exploration_actions)
+            if self.runs is not None:
+                self.plan = [np.broadcast_to(a, self._plan_shape) for a in self.plan]
 
     def act(self, t):
         if t <= len(self.plan):
@@ -588,13 +630,12 @@ class GaussianFamilyAgent:
             feature = hierarchy.linear_feature(self.spec, action)
             self.post.update_feature(feature, observation, self.noise_var)
             self.summary.add(feature, observation)
-        elif self.spec.family == hierarchy.SEMIBANDIT:
-            for arm, reward in observation.items():
-                self.post.update_arm(arm, reward, self.noise_var)
-            self.summary.add_subset(observation)
-        else:
-            self.post.update_arm(action, observation, self.noise_var)
-            self.summary.add(action, observation)
+            return
+        if isinstance(observation, dict):  # one semibandit round, {arm: reward}
+            action = np.array(list(observation))
+            observation = np.array(list(observation.values()))
+        self.post.update_arm(action, observation, self.noise_var)
+        self.summary.add(action, observation)
 
     def end_task(self):
         if not self._learns:

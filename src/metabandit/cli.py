@@ -100,7 +100,9 @@ def _build_parser():
             p.add_argument("--common-tasks", type=_bool_flag, dest="common_tasks",
                            default=True)
             p.add_argument("--out", required=True)
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=int, default=1,
+                           help="accepted for compatibility and validated; has no "
+                                "effect, since every agent advances all runs together")
 
     run_p = sub.add_parser("run", help="run one experiment")
     add_env_flags(run_p, need_run=True)
@@ -203,6 +205,15 @@ def _validate(parser, inv):
     if inv.env == "bernoulli-mixture":
         if not inv.mixture:
             parser.error("--env bernoulli-mixture requires --mixture")
+        weights = inv.mixture_weights
+        components = sum(1 for chunk in inv.mixture.split(";") if chunk.strip())
+        if weights is not None and len(weights) != components:
+            parser.error(
+                f"--mixture-weights needs one weight per --mixture component "
+                f"({components}), got {len(weights)}"
+            )
+        if weights and not (all(math.isfinite(w) and w >= 0 for w in weights) and sum(weights) > 0):
+            parser.error("--mixture-weights must be finite, non-negative and not all zero")
     elif inv.command in ("run", "sweep") and not inv.sigma_q:
         parser.error(f"--env {inv.env} requires --sigma-q")
     if inv.command in ("run", "sweep"):
@@ -376,7 +387,7 @@ def _require_finite(curve):
 
 def _cmd_run(inv):
     config = build_config(inv)
-    trace = harness.run_experiment(config, workers=inv.threads)
+    trace = harness.run_experiment(config)
     curve = harness.aggregate(trace)
     _require_finite(curve)
     emit_csv(curve, inv.out)
@@ -419,7 +430,7 @@ def _cmd_sweep(inv):
     for sq, arms, dim, tag in _sweep_cells(inv):
         spec = build_spec(inv, sigma_q=sq, arms=arms, dim=dim)
         config = build_config(inv, spec)
-        trace = harness.run_experiment(config, workers=inv.threads)
+        trace = harness.run_experiment(config)
         curve = harness.aggregate(trace)
         _require_finite(curve)
         path = os.path.join(inv.out, f"{inv.env}_{tag}.csv")

@@ -1,9 +1,10 @@
 """Dense SPD linear algebra and seeded random streams used by every component.
 
 Covariances in this package are small (dimension at most a few dozen), so
-everything here works on plain dense ndarrays.  Factorizations retry with an
-escalating diagonal jitter so that degenerate (rank-deficient) covariances,
-which arise naturally from point-mass priors, still factor.
+everything here works on plain dense ndarrays, or on stacks of them with a
+leading run axis.  Factorizations retry with an escalating diagonal jitter so
+that degenerate (rank-deficient) covariances, which arise naturally from
+point-mass priors, still factor.
 """
 
 import numpy as np
@@ -18,25 +19,44 @@ class NotPsd(Exception):
 
 
 def symmetrize(a):
-    """Return (a + a.T) / 2; apply after any update that can drift asymmetric."""
+    """Return (a + a.T) / 2 for a matrix or each matrix of a stack; apply
+    after any update that can drift asymmetric."""
     a = np.asarray(a, dtype=float)
-    return (a + a.T) / 2.0
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
+
+
+def matvec(a, x):
+    """a @ x for a matrix (or stack) `a` and a vector (or stack) `x`.
+
+    Every product goes through the same BLAS matrix-vector call, with or
+    without a run axis, so a stack gives each run's product bit for bit.
+    """
+    return (a @ x[..., None])[..., 0]
+
+
+def dot(x, y):
+    """x @ y for vectors, or row by row for stacks of them."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def cholesky(a):
     """Lower-triangular L with L @ L.T == a + jitter * I.
 
     A matrix that factors as given returns numpy's factor unchanged; only on
-    failure does the jitter escalate through the rest of `JITTERS`.  Raises
-    NotPsd if the matrix is indefinite beyond repair.
+    failure does the jitter escalate through the rest of `JITTERS`.  A stack
+    of matrices is factored in one call; if any of them fails, each is
+    factored on its own, so only the failing ones take jitter.  Raises NotPsd
+    if a matrix is indefinite beyond repair.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotPsd(f"expected a square matrix, got shape {a.shape}")
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         pass
+    if a.ndim > 2:
+        return np.stack([cholesky(matrix) for matrix in a])
     eye = np.eye(a.shape[0])
     for jitter in JITTERS[1:]:
         try:
@@ -60,11 +80,12 @@ def spd_inverse(a):
 
 
 def mvn_sample(mean, cov, rng):
-    """One draw from N(mean, cov) as mean + L @ z with L = cholesky(cov)."""
+    """One draw from N(mean, cov) as mean + L @ z with L = cholesky(cov);
+    with a run axis (and `rng` a RunStreams), one draw per run."""
     mean = np.asarray(mean, dtype=float)
     lower = cholesky(cov)
-    z = rng.standard_normal(mean.shape[0])
-    return mean + lower @ z
+    z = rng.standard_normal(mean.shape[-1])
+    return mean + matvec(lower, z)
 
 
 class RngStream:
@@ -72,8 +93,8 @@ class RngStream:
 
     Streams with distinct ids are statistically independent, and the same
     (seed, stream_id) pair reproduces the identical draw sequence on any
-    machine and under any scheduling, which is what makes concurrent
-    experiment runs reproducible.
+    machine, so a run gives the same output whether it is played alone or
+    in lockstep with others.
     """
 
     MASK = (1 << 64) - 1
@@ -102,3 +123,40 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+class RunStreams:
+    """One RngStream per run, drawn from in lockstep.
+
+    `standard_normal(size)` returns one draw of shape `size` per run, stacked
+    as (runs, *size).  The draws come from blocks of `block` draws that each
+    stream makes in one call.  A block draw consumes a stream exactly as the
+    same draws made one by one, so every run sees the numbers it would see
+    alone, however the block boundaries fall, as long as all draws from one
+    stream have one shape.  A request of another shape while a block still
+    holds draws would reorder the streams and raises ValueError.
+    """
+
+    def __init__(self, streams, block):
+        self.streams = tuple(streams)
+        self.block = int(block)
+        self._drawn = ()
+        self._size = None  # the `size` the pending block was drawn for
+        self._next = 0
+
+    @property
+    def runs(self):
+        return len(self.streams)
+
+    def standard_normal(self, size=None):
+        if self._next == len(self._drawn):
+            shape = () if size is None else tuple(np.atleast_1d(size))
+            self._drawn = np.stack(
+                [s.standard_normal((self.block, *shape)) for s in self.streams], axis=1
+            )
+            self._size = size
+            self._next = 0
+        elif size != self._size:
+            raise ValueError(f"draw of size {size} while draws of size {self._size} are pending")
+        self._next += 1
+        return self._drawn[self._next - 1]

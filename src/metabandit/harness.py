@@ -1,14 +1,20 @@
 """Experiment orchestration: seeded runs, regret traces, aggregation.
 
-Each (agent, run) pair is a self-contained unit of work with its own random
-streams derived from (seed, purpose, agent label, run index), so runs can be
-executed in any order or concurrently and still produce identical output.
+Every (agent, run) pair draws from its own random streams, derived from
+(seed, purpose, agent label, run index), so its output does not depend on
+which other runs or agents are simulated beside it.  A Gaussian-family agent
+plays all runs of an experiment in lockstep: its state carries a leading run
+axis and one round of every run is a few array operations (see
+agents.GaussianFamilyAgent), while each run still consumes its own streams
+exactly as it would alone.  Bernoulli-mixture agents play one run at a time,
+because their Beta draws consume a variable amount of stream.
+
 When ``common_tasks`` is set, the task-generation stream drops the agent
 label, so every agent in a run faces the same action set, meta-parameter and
-task sequence while still drawing its own reward noise.
+task sequence, sampled once per run, while still drawing its own reward
+noise.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import hashlib
 
@@ -16,7 +22,7 @@ import numpy as np
 
 from . import agents as agents_mod
 from . import hierarchy
-from .gauss_core import RngStream
+from .gauss_core import RngStream, RunStreams
 
 
 class EmptyTrace(Exception):
@@ -79,14 +85,15 @@ def _stream_id(purpose, label, run):
     return int.from_bytes(digest[:8], "big")
 
 
+def _stream(config, purpose, label, run):
+    if purpose == "tasks" and config.common_tasks:
+        label = ""
+    return RngStream(config.seed, _stream_id(purpose, label, run))
+
+
 def _streams(config, label, run):
     """(tasks, rewards, agent) streams for one unit of work."""
-    task_label = "" if config.common_tasks else label
-    return (
-        RngStream(config.seed, _stream_id("tasks", task_label, run)),
-        RngStream(config.seed, _stream_id("rewards", label, run)),
-        RngStream(config.seed, _stream_id("agent", label, run)),
-    )
+    return tuple(_stream(config, purpose, label, run) for purpose in ("tasks", "rewards", "agent"))
 
 
 def _sample_run_actions(spec, rng):
@@ -113,72 +120,109 @@ def _task_digest(run_spec, mu_star, tasks):
     return h.hexdigest()
 
 
-def run_single(config, kind, run):
-    """Execute one (agent, run) unit; returns (instant (m, n), task hash).
+@dataclass(frozen=True, eq=False)
+class _World:
+    """What one run's agent faces: its environment spec (with the run's own
+    action set for linear), mu_star, the task sequence and its digest."""
 
-    Output is a pure function of (config.spec, config.seed, common_tasks,
-    kind, run): agent order and scheduling play no role.
-    """
-    tasks_rng, rewards_rng, agent_rng = _streams(config, kind.label, run)
+    spec: hierarchy.EnvironmentSpec
+    mu_star: object
+    tasks: list
+    digest: str
+
+
+def _sample_world(config, label, run):
+    tasks_rng = _stream(config, "tasks", label, run)
     spec = config.spec
     if spec.family == hierarchy.LINEAR and spec.actions is None:
         spec = _sample_run_actions(spec, tasks_rng)
     mu_star = hierarchy.sample_meta_parameter(spec, tasks_rng)
     tasks = [hierarchy.sample_task(spec, mu_star, tasks_rng) for _ in range(config.m)]
-    digest = _task_digest(spec, mu_star, tasks)
+    return _World(spec, mu_star, tasks, _task_digest(spec, mu_star, tasks))
 
-    exploration = None
-    if kind.base == agents_mod.ADA_TS_FORCED and spec.family == hierarchy.LINEAR:
-        plan, _ = agents_mod.choose_spanning_actions(spec.actions)
-        exploration = plan
-    agent = agents_mod.make_agent(kind, spec, agent_rng, mu_star, exploration)
 
-    instant = np.zeros((config.m, config.n))
+def _play(config, kind, runs, spec, agent, tasks, rewards):
+    """Play the task sequence; instant regret (len(runs), m, n).
+
+    `agent`, `tasks` and `rewards` cover all of `runs` at once, with a run
+    axis, or a single run without one.
+    """
+    instant = np.zeros((len(runs), config.m, config.n))
     s = t = 0
     try:
-        for s in range(1, config.m + 1):
-            task = tasks[s - 1]
+        for s, task in enumerate(tasks, start=1):
             agent.begin_task(s, config.m)
             for t in range(1, config.n + 1):
                 action = agent.act(t)
-                observation = hierarchy.realize_reward(spec, task, action, rewards_rng)
-                instant[s - 1, t - 1] = hierarchy.instant_regret(spec, task, action)
+                observation = hierarchy.realize_reward(spec, task, action, rewards)
+                instant[:, s - 1, t - 1] = hierarchy.instant_regret(spec, task, action)
                 agent.observe(action, observation)
             agent.end_task()
     except Exception as err:
+        where = runs[0] if len(runs) == 1 else f"{runs[0]}..{runs[-1]}"
         raise RuntimeError(
-            f"run failed at agent={kind.label} run={run} task={s} round={t}: {err}"
+            f"run failed at agent={kind.label} run={where} task={s} round={t}: {err}"
         ) from err
-    return instant, digest
+    return instant
 
 
-def run_experiment(config, workers=1):
-    """Run every (agent, run) unit, serially or on a thread pool."""
-    units = [(kind, run) for kind in config.agents for run in range(config.runs)]
-    results = {}
+def _spanning_features(run_spec):
+    """One run's linear forced-exploration plan as feature vectors, one row
+    per exploring round (action-set rows, or the fallback basis)."""
+    plan, _ = agents_mod.choose_spanning_actions(run_spec.actions)
+    return hierarchy.linear_feature(run_spec, np.asarray(plan))
 
-    def execute(unit):
-        kind, run = unit
-        return unit, run_single(config, kind, run)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(execute, units))
-    else:
-        outcomes = [execute(unit) for unit in units]
-
-    for (kind, run), payload in outcomes:
-        results[(kind.label, run)] = payload
-
-    instant = {}
-    hashes = {}
-    for kind in config.agents:
+def _run_agent(config, kind, runs, worlds):
+    """Instant regret (len(runs), m, n) of one agent kind over `runs`, given
+    each run's world."""
+    spec = config.spec
+    if spec.family == hierarchy.BERNOULLI_MIXTURE:
         rows = []
-        for run in range(config.runs):
-            inst, digest = results[(kind.label, run)]
-            rows.append(inst)
-            hashes[(kind.label, run)] = digest
-        instant[kind.label] = np.stack(rows)
+        for run, world in zip(runs, worlds):
+            _, rewards_rng, agent_rng = _streams(config, kind.label, run)
+            agent = agents_mod.MixtureFamilyAgent(kind, world.spec, agent_rng, world.mu_star)
+            rows.append(_play(config, kind, [run], world.spec, agent, world.tasks, rewards_rng))
+        return np.concatenate(rows)
+
+    def lockstep(purpose):
+        streams = [_stream(config, purpose, kind.label, run) for run in runs]
+        return RunStreams(streams, block=config.n)
+
+    if spec.family == hierarchy.LINEAR and spec.actions is None:
+        spec = spec.with_actions(np.stack([world.spec.actions for world in worlds]))
+    exploration = None
+    if kind.base == agents_mod.ADA_TS_FORCED and spec.family == hierarchy.LINEAR:
+        exploration = np.stack([_spanning_features(world.spec) for world in worlds])
+    mu_star = np.stack([world.mu_star for world in worlds])
+    agent = agents_mod.GaussianFamilyAgent(kind, spec, lockstep("agent"), mu_star, exploration)
+    tasks = (hierarchy.stack_tasks([world.tasks[s] for world in worlds]) for s in range(config.m))
+    return _play(config, kind, runs, spec, agent, tasks, lockstep("rewards"))
+
+
+def run_single(config, kind, run):
+    """Execute one (agent, run) unit; returns (instant (m, n), task hash).
+
+    Output is a pure function of (config.spec, config.seed, common_tasks,
+    kind, run): agent order and the other runs play no role.
+    """
+    world = _sample_world(config, kind.label, run)
+    return _run_agent(config, kind, [run], [world])[0], world.digest
+
+
+def run_experiment(config):
+    """Run every agent over every run.  With common tasks each run's world is
+    sampled once and shared by all agents."""
+    runs = list(range(config.runs))
+    shared = None
+    if config.common_tasks:
+        shared = [_sample_world(config, "", run) for run in runs]
+    instant, hashes = {}, {}
+    for kind in config.agents:
+        worlds = shared or [_sample_world(config, kind.label, run) for run in runs]
+        instant[kind.label] = _run_agent(config, kind, runs, worlds)
+        for run, world in zip(runs, worlds):
+            hashes[(kind.label, run)] = world.digest
     return RegretTrace(config, instant, hashes)
 
 

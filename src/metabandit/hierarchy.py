@@ -14,7 +14,7 @@ rewards are noisy observations of theta.  Four families share this structure:
 from dataclasses import dataclass, replace
 import numpy as np
 
-from .gauss_core import mvn_sample, symmetrize
+from .gauss_core import dot, mvn_sample, symmetrize
 
 GAUSSIAN = "gaussian"
 LINEAR = "linear"
@@ -53,7 +53,9 @@ class EnvironmentSpec:
 
     ``sigma_q`` and ``sigma_0`` are covariance matrices (not widths).  For the
     linear family ``actions`` may be None, in which case the harness samples a
-    fresh action set per run, uniform on [-0.5, 0.5]^dim.
+    fresh action set per run, uniform on [-0.5, 0.5]^dim; the harness stacks
+    those per-run sets along a leading run axis for agents that play all runs
+    in lockstep.
     """
 
     family: str
@@ -79,8 +81,14 @@ class EnvironmentSpec:
                 raise ValueError("mixture family needs alpha/beta tables")
             if np.any(self.mixture_alphas <= 0) or np.any(self.mixture_betas <= 0):
                 raise ValueError("Beta parameters must be positive")
-            if self.mixture_weights is None or np.any(self.mixture_weights < 0):
-                raise ValueError("mixture weights must be non-negative")
+            weights = self.mixture_weights
+            if weights is None or not np.all(np.isfinite(weights)) or np.any(weights < 0):
+                raise ValueError("mixture weights must be finite and non-negative")
+            if self.mixture_weights.shape != (self.num_components,):
+                raise ValueError(
+                    f"need one mixture weight per component ({self.num_components}), "
+                    f"got shape {self.mixture_weights.shape}"
+                )
             if abs(float(np.sum(self.mixture_weights)) - 1.0) > 1e-9:
                 raise ValueError("mixture weights must sum to one")
             return
@@ -99,9 +107,11 @@ class EnvironmentSpec:
             if self.dim is None or self.dim < 1:
                 raise ValueError("linear family needs dim >= 1")
             if self.actions is not None:
-                if self.actions.shape != (self.num_arms, self.dim):
-                    raise ValueError("actions must have shape (num_arms, dim)")
-                norms = np.linalg.norm(self.actions, axis=1)
+                if self.actions.ndim not in (2, 3) or (
+                    self.actions.shape[-2:] != (self.num_arms, self.dim)
+                ):
+                    raise ValueError("actions must have shape ([runs,] num_arms, dim)")
+                norms = np.linalg.norm(self.actions, axis=-1)
                 if np.any(norms > 1.0 + 1e-12):
                     raise ValueError("linear actions must have norm <= 1")
         if self.family == SEMIBANDIT:
@@ -190,11 +200,18 @@ def mixture_env(num_arms, alphas, betas, weights=None):
 
 @dataclass(frozen=True, eq=False)
 class TaskInstance:
-    """One sampled task: parameter, best action, and its mean reward."""
+    """One sampled task: parameter, best action, and its mean reward.
+
+    ``means`` holds the mean reward of each arm, or of each row of a linear
+    action set, exactly as ``mean_reward`` computes it.  ``stack_tasks``
+    builds the same record with a leading run axis on every field: one task
+    per run, for agents that play all runs in lockstep.
+    """
 
     theta: np.ndarray
     optimal_action: object
     optimal_value: float
+    means: np.ndarray = None
 
 
 def sample_meta_parameter(spec, rng):
@@ -207,9 +224,10 @@ def sample_meta_parameter(spec, rng):
 
 
 def top_subset(theta, budget):
-    """Indices of the `budget` largest entries, ties to the lowest index."""
-    order = np.argsort(-theta, kind="stable")
-    return tuple(sorted(int(k) for k in order[:budget]))
+    """Indices of the `budget` largest entries, ties to the lowest index, in
+    ascending order: a tuple, or per run an array (runs, budget)."""
+    top = np.sort(np.argsort(-theta, axis=-1, kind="stable")[..., :budget], axis=-1)
+    return tuple(int(k) for k in top) if top.ndim == 1 else top
 
 
 def sample_task(spec, mu_star, rng):
@@ -219,19 +237,29 @@ def sample_task(spec, mu_star, rng):
         theta = rng.beta(spec.mixture_alphas[j], spec.mixture_betas[j])
         theta = np.clip(theta, BETA_MEAN_FLOOR, 1.0 - BETA_MEAN_FLOOR)
         best = int(np.argmax(theta))
-        return TaskInstance(theta, best, float(theta[best]))
+        return TaskInstance(theta, best, float(theta[best]), theta)
     theta = mvn_sample(mu_star, spec.sigma_0, rng)
     if spec.family == LINEAR:
         # score each row exactly as mean_reward does, so the recorded optimum
         # is the float max of the per-action means and regret is never < 0
         scores = np.array([float(a @ theta) for a in spec.actions])
         best = int(np.argmax(scores))
-        return TaskInstance(theta, best, float(scores[best]))
+        return TaskInstance(theta, best, float(scores[best]), scores)
     if spec.family == SEMIBANDIT:
         subset = top_subset(theta, spec.budget)
-        return TaskInstance(theta, subset, float(theta[list(subset)].sum()))
+        return TaskInstance(theta, subset, float(theta[list(subset)].sum()), theta)
     best = int(np.argmax(theta))
-    return TaskInstance(theta, best, float(theta[best]))
+    return TaskInstance(theta, best, float(theta[best]), theta)
+
+
+def stack_tasks(tasks):
+    """One task per run, stacked along a leading run axis."""
+    return TaskInstance(
+        np.stack([task.theta for task in tasks]),
+        np.array([task.optimal_action for task in tasks]),
+        np.array([task.optimal_value for task in tasks]),
+        np.stack([task.means for task in tasks]),
+    )
 
 
 def _check_arm(spec, arm):
@@ -241,13 +269,21 @@ def _check_arm(spec, arm):
 
 def linear_feature(spec, action):
     """Linear actions are indices into the action set; raw feature vectors
-    are also accepted so forced-exploration fallbacks can be played."""
+    are also accepted so forced-exploration fallbacks can be played.
+
+    An integer array holds one index per run and a (runs, dim) float array
+    one feature vector per run; either returns (runs, dim) features.
+    """
     if isinstance(action, (int, np.integer)):
-        if not 0 <= action < spec.actions.shape[0]:
+        if not 0 <= action < spec.actions.shape[-2]:
             raise InvalidAction(f"action index {action} out of range")
         return spec.actions[int(action)]
+    if isinstance(action, np.ndarray) and action.dtype.kind in "iu":
+        if spec.actions.ndim == 2:
+            return spec.actions[action]
+        return spec.actions[np.arange(action.shape[0]), action]
     vec = np.asarray(action, dtype=float)
-    if vec.shape != (spec.dim,):
+    if vec.shape[-1:] != (spec.dim,):
         raise InvalidAction(f"feature vector shape {vec.shape} != ({spec.dim},)")
     return vec
 
@@ -259,6 +295,42 @@ def _check_subset(spec, action):
     for k in arms:
         _check_arm(spec, k)
     return arms
+
+
+def flat_view(table):
+    """`table` flattened without a copy, so that writes reach `table`."""
+    if not table.flags.c_contiguous:
+        raise ValueError(f"array with strides {table.strides} has no flat view")
+    return table.reshape(-1)
+
+
+def flat_index(shape, index):
+    """Where the entries that `index` names sit in `flat_view` of an array of
+    `shape`.  Without a run axis that is `index` itself; with one, `index`
+    names one entry (runs,), or a row of entries (runs, k), in each run's
+    row.  Indexing a flat view is several times cheaper than indexing by
+    (rows, index)."""
+    if len(shape) == 1:
+        return index
+    runs, width = shape
+    offsets = np.arange(0, runs * width, width)
+    return (offsets[:, None] if np.ndim(index) == 2 else offsets) + index
+
+
+def _per_run(table, index):
+    """The entries of a (runs, width) `table` that `index` names per run."""
+    return flat_view(table)[flat_index(table.shape, index)]
+
+
+def _stacked_mean_reward(spec, task, action):
+    """Mean reward of each run's action in a stack of tasks, read from the
+    tasks' mean-reward tables; agents only play valid actions, so none is
+    checked."""
+    if spec.family == SEMIBANDIT:
+        return _per_run(task.theta, action).sum(axis=1)
+    if action.ndim == 2:  # linear raw feature vectors
+        return dot(action, task.theta)
+    return _per_run(task.means, action)
 
 
 def mean_reward(spec, task, action):
@@ -276,8 +348,17 @@ def realize_reward(spec, task, action, rng):
     """Draw the observed feedback for playing `action` in `task`.
 
     Returns a float for scalar-feedback families and, for the semibandit
-    family, a dict keyed by arm id with that arm's individual reward.
+    family, a dict keyed by arm id with that arm's individual reward.  For a
+    stack of tasks (see `stack_tasks`) `action` holds one action per run,
+    `rng` is a RunStreams, and the result has one reward per run: an array
+    (runs,), or (runs, budget) in the order of each run's arms.
     """
+    if task.theta.ndim == 2:
+        if spec.family == SEMIBANDIT:
+            noise = rng.standard_normal(spec.budget)
+            return _per_run(task.theta, action) + spec.noise_sigma * noise
+        mean = _stacked_mean_reward(spec, task, action)
+        return mean + spec.noise_sigma * rng.standard_normal()
     if spec.family == BERNOULLI_MIXTURE:
         _check_arm(spec, action)
         return 1.0 if rng.random() < task.theta[int(action)] else 0.0
@@ -293,5 +374,8 @@ def realize_reward(spec, task, action, rng):
 
 
 def instant_regret(spec, task, action):
-    """Gap between the task's optimal mean reward and the action's."""
+    """Gap between the task's optimal mean reward and the action's, per run
+    for a stack of tasks."""
+    if task.theta.ndim == 2:
+        return task.optimal_value - _stacked_mean_reward(spec, task, action)
     return task.optimal_value - mean_reward(spec, task, action)

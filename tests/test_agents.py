@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metabandit import agents, hierarchy
-from metabandit.gauss_core import RngStream, cholesky, spd_inverse, solve_spd
+from metabandit.gauss_core import RngStream, RunStreams, cholesky, spd_inverse, solve_spd
 
 
 def gauss_spec(num_arms=2, sigma_q=1.0, sigma_0=0.1, noise=1.0, mu_q=None):
@@ -443,7 +443,7 @@ def test_semibandit_zero_width_arm_gains_full_precision():
     meta = agents.initial_meta_posterior(spec)
     summary = agents.ArmSummary(2)
     for _ in range(4):
-        summary.add_subset({0: 0.3})
+        summary.add(np.array([0]), np.array([0.3]))
     out = agents.end_task_gaussian(meta, summary, spec)
     increment = 1.0 / out.var[0] - 1.0 / meta.var[0]
     assert increment == pytest.approx(4.0, rel=1e-12)
@@ -455,7 +455,7 @@ def test_semibandit_single_membership_increment():
     )
     meta = agents.initial_meta_posterior(spec)
     summary = agents.ArmSummary(3)
-    summary.add_subset({0: 0.1, 1: 0.2, 2: 0.3})
+    summary.add(np.array([0, 1, 2]), np.array([0.1, 0.2, 0.3]))
     out = agents.end_task_gaussian(meta, summary, spec)
     for k, width in enumerate((0.1, 0.2, 0.3)):
         increment = 1.0 / out.var[k] - 1.0 / meta.var[k]
@@ -734,3 +734,66 @@ def test_make_agent_dispatches_by_family():
     assert isinstance(gauss_agent, agents.GaussianFamilyAgent)
     mix_agent = agents.make_agent(agents.AgentKind("ts"), mixture_spec(), RngStream(9), mu_star=0)
     assert isinstance(mix_agent, agents.MixtureFamilyAgent)
+
+
+# ---------------------------------------------------------------------------
+# runs in lockstep
+# ---------------------------------------------------------------------------
+
+
+def _state(obj):
+    return [np.asarray(getattr(obj, name)) for name in obj.__slots__]
+
+
+@pytest.mark.parametrize("family", ["gaussian", "semibandit", "linear"])
+@pytest.mark.parametrize("name", ["ts", "oracle-ts", "meta-ts", "ada-ts", "ada-ts+",
+                                  "ada-ts-forced"])
+def test_lockstep_agent_matches_each_run_played_alone(family, name):
+    """An agent built with a RunStreams acts, and holds posteriors and
+    meta-posteriors, bit for bit as one scalar agent per run."""
+    runs, m, n = 3, 3, 6
+    kind = agents.AgentKind.from_name(name)
+    data = np.random.default_rng(21)
+    if family == "gaussian":
+        specs = [hierarchy.gaussian_env(3, 0.5, [0.1, 0.0, 0.2], 1.0)] * runs
+    elif family == "semibandit":
+        specs = [hierarchy.semibandit_env(5, 2, 0.5, 0.1, 1.0)] * runs
+    else:
+        specs = [hierarchy.linear_env(2, 1.0, 0.1, 1.0, actions=data.uniform(-0.5, 0.5, (6, 2)))
+                 for _ in range(runs)]
+    mu_star = data.standard_normal((runs, specs[0].param_dim))
+    plans = None
+    if kind.base == agents.ADA_TS_FORCED and family == "linear":
+        plans = [spec.actions[agents.choose_spanning_actions(spec.actions)[0]] for spec in specs]
+    solo = [agents.GaussianFamilyAgent(kind, spec, RngStream(5, r), mu_star[r],
+                                       None if plans is None else plans[r])
+            for r, spec in enumerate(specs)]
+    batch_spec = specs[0]
+    if family == "linear":
+        batch_spec = specs[0].with_actions(np.stack([spec.actions for spec in specs]))
+    batch = agents.GaussianFamilyAgent(
+        kind, batch_spec, RunStreams([RngStream(5, r) for r in range(runs)], block=4), mu_star,
+        None if plans is None else np.stack(plans))
+    for s in range(1, m + 1):
+        batch.begin_task(s, m)
+        for agent in solo:
+            agent.begin_task(s, m)
+        for t in range(1, n + 1):
+            actions = batch.act(t)
+            rewards = data.standard_normal((runs, 2) if family == "semibandit" else runs)
+            for r, agent in enumerate(solo):
+                action = agent.act(t)
+                assert np.array_equal(np.asarray(action), actions[r])
+                if family == "semibandit":
+                    agent.observe(action, dict(zip(action, rewards[r])))
+                else:
+                    agent.observe(action, float(rewards[r]))
+            batch.observe(actions, rewards)
+            for r, agent in enumerate(solo):
+                for whole, alone in zip(_state(batch.post), _state(agent.post)):
+                    assert np.array_equal(whole[r], alone)
+        batch.end_task()
+        for r, agent in enumerate(solo):
+            agent.end_task()
+            for whole, alone in zip(_state(batch.meta), _state(agent.meta)):
+                assert np.array_equal(whole[r], alone)

@@ -84,6 +84,17 @@ def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, env, flag, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weights", ["0.3,0.3,0.4", "1", "0,0", "-1,2", "nan,1"])
+def test_invalid_mixture_weights_exit_2_and_write_nothing(tmp_path, capsys, weights):
+    out = tmp_path / "out.csv"
+    argv = ["run", "--env", "bernoulli-mixture", "--arms", "3", "--mixture", "9:1;1:9",
+            "--mixture-weights", weights, "--tasks", "2", "--rounds", "3", "--runs", "2",
+            "--agents", "ada-ts", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "--mixture-weights" in capsys.readouterr().err.partition("error:")[2]
+    assert not out.exists()
+
+
 def test_semibandit_budget_above_arms_exits_2(capsys):
     assert cli.main(run_argv(**{"--env": "semibandit", "--arms": "3", "--budget": "4"})) == 2
     assert "--budget" in capsys.readouterr().err.partition("error:")[2]
@@ -92,8 +103,8 @@ def test_semibandit_budget_above_arms_exits_2(capsys):
 def test_non_finite_regret_exits_1_without_csv(tmp_path, capsys, monkeypatch):
     real_run = harness.run_experiment
 
-    def poisoned(config, workers=1):
-        trace = real_run(config, workers)
+    def poisoned(config):
+        trace = real_run(config)
         trace.instant["ada-ts"][0, 1, 2] = np.nan
         return trace
 

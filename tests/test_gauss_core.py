@@ -46,6 +46,25 @@ def test_cholesky_rejects_indefinite():
         gc.cholesky(a)
 
 
+def test_cholesky_stack_jitters_only_the_failing_matrix():
+    rng = np.random.default_rng(8)
+    stack = np.stack([random_spd(rng, 3), np.ones((3, 3)), random_spd(rng, 3)])
+    lower = gc.cholesky(stack)
+    assert lower.shape == (3, 3, 3)
+    for matrix, factor in zip(stack, lower):
+        assert np.array_equal(factor, gc.cholesky(matrix))
+    # the positive definite ones get numpy's own factor
+    assert np.array_equal(lower[0], np.linalg.cholesky(stack[0]))
+    assert np.array_equal(lower[2], np.linalg.cholesky(stack[2]))
+
+
+def test_cholesky_stack_is_per_matrix_factor():
+    rng = np.random.default_rng(9)
+    stack = np.stack([random_spd(rng, 4) for _ in range(20)])
+    lower = gc.cholesky(stack)
+    assert all(np.array_equal(lower[i], gc.cholesky(stack[i])) for i in range(20))
+
+
 def test_cholesky_roundtrip_random_spd():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -174,6 +193,52 @@ def test_stream_accepts_large_ids():
     a = gc.RngStream(2**64 - 1, big).random(4)
     b = gc.RngStream(2**64 - 1, big).random(4)
     assert np.array_equal(a, b)
+
+
+def test_block_draw_equals_mixed_size_sequential_draws():
+    """One standard_normal(n) call consumes a stream exactly like n single
+    draws made in calls of any sizes; batched runs rest on this."""
+    sizes = [None, 3, (2, 2), 1, None, 5, (4, 3), None]
+    counts = [1 if size is None else int(np.prod(size)) for size in sizes]
+    for stream_id in range(20):
+        one_by_one = gc.RngStream(3, stream_id)
+        pieces = [np.ravel(one_by_one.standard_normal(size)) for size in sizes]
+        block = gc.RngStream(3, stream_id).standard_normal(sum(counts))
+        assert np.array_equal(np.concatenate(pieces), block)
+
+
+def test_run_streams_give_each_run_its_solo_draws():
+    ids = [4, 9, 1]
+    streams = gc.RunStreams([gc.RngStream(7, i) for i in ids], block=5)
+    assert streams.runs == 3
+    drawn = np.array([streams.standard_normal(2) for _ in range(12)])  # crosses blocks
+    assert drawn.shape == (12, 3, 2)
+    for run, stream_id in enumerate(ids):
+        solo = gc.RngStream(7, stream_id)
+        assert np.array_equal(drawn[:, run], [solo.standard_normal(2) for _ in range(12)])
+    scalars = gc.RunStreams([gc.RngStream(7, i) for i in ids], block=4)
+    assert scalars.standard_normal().shape == (3,)
+
+
+def test_run_streams_refuse_a_new_shape_while_draws_are_pending():
+    streams = gc.RunStreams([gc.RngStream(7, 0), gc.RngStream(7, 1)], block=3)
+    streams.standard_normal(2)
+    with pytest.raises(ValueError):
+        streams.standard_normal(3)
+    streams.standard_normal(2)
+    streams.standard_normal(2)
+    assert streams.standard_normal(3).shape == (2, 3)  # block used up: any shape
+
+
+def test_mvn_sample_stack_matches_each_run():
+    rng = np.random.default_rng(10)
+    covs = np.stack([random_spd(rng, 3) for _ in range(4)])
+    means = rng.standard_normal((4, 3))
+    streams = gc.RunStreams([gc.RngStream(2, i) for i in range(4)], block=2)
+    draws = gc.mvn_sample(means, covs, streams)
+    for run in range(4):
+        alone = gc.mvn_sample(means[run], covs[run], gc.RngStream(2, run))
+        assert np.array_equal(draws[run], alone)
 
 
 def test_mvn_sample_bitwise_reproducible():

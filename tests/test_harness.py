@@ -1,5 +1,7 @@
 """Experiment orchestration: determinism, shared tasks, aggregation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,13 +64,114 @@ def test_independent_tasks_differ_across_agents():
     assert trace.task_hashes[("ts", 0)] != trace.task_hashes[("oracle-ts", 0)]
 
 
-def test_serial_equals_threaded():
-    config = small_config(agent_names=("ts", "ada-ts", "meta-ts"), runs=4)
-    serial = harness.run_experiment(config, workers=1)
-    threaded = harness.run_experiment(config, workers=8)
+FAMILY_SPECS = {
+    "gaussian": lambda: hierarchy.gaussian_env(2, 0.5, 0.1, 1.0),
+    "semibandit": lambda: hierarchy.semibandit_env(5, 2, 0.5, 0.1, 1.0),
+    "linear": lambda: hierarchy.linear_env(2, 1.0, 0.1, 1.0),
+    "mixture": lambda: hierarchy.mixture_env(3, [[9, 9, 9], [1, 1, 1]], [[1, 1, 1], [9, 9, 9]]),
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+@pytest.mark.parametrize("common_tasks", [True, False])
+def test_batch_of_runs_equals_each_one_run_slice(family, common_tasks):
+    """All runs of an agent played together give, run by run, the bits of
+    that run played alone."""
+    spec = FAMILY_SPECS[family]()
+    names = ("ts", "meta-ts", "ada-ts") + (() if family == "mixture" else ("ada-ts-forced",))
+    config = small_config(agent_names=names, spec=spec, runs=4, m=5, n=7,
+                          common_tasks=common_tasks)
+    trace = harness.run_experiment(config)
     for kind in config.agents:
-        assert np.array_equal(serial.instant[kind.label], threaded.instant[kind.label])
-    assert serial.task_hashes == threaded.task_hashes
+        for run in range(config.runs):
+            alone, digest = harness.run_single(config, kind, run)
+            assert np.array_equal(trace.instant[kind.label][run], alone)
+            assert trace.task_hashes[(kind.label, run)] == digest
+
+
+def test_common_tasks_are_sampled_once_per_run(monkeypatch):
+    calls = {"n": 0}
+    real = hierarchy.sample_task
+
+    def counting(spec, mu_star, rng):
+        calls["n"] += 1
+        return real(spec, mu_star, rng)
+
+    monkeypatch.setattr(hierarchy, "sample_task", counting)
+    names = ("ts", "oracle-ts", "ada-ts")
+    config = small_config(agent_names=names, runs=3, m=4)
+    harness.run_experiment(config)
+    assert calls["n"] == config.runs * config.m
+    calls["n"] = 0
+    harness.run_experiment(small_config(agent_names=names, runs=3, m=4, common_tasks=False))
+    assert calls["n"] == len(names) * config.runs * config.m
+
+
+# ---------------------------------------------------------------------------
+# engine equivalence: sha256 of every agent's instant-regret trace, then of
+# the task hashes, pinned from the one-run-at-a-time engine this one replaced
+# ---------------------------------------------------------------------------
+
+GAUSSIAN_KINDS = ("ts", "oracle-ts", "meta-ts", "ada-ts", "ada-ts+", "ada-ts-", "ada-ts-forced")
+MIXTURE_KINDS = ("ts", "oracle-ts", "meta-ts", "ada-ts", "misassigned-ts")
+
+ENGINE_SPECS = {
+    "gaussian": lambda: hierarchy.gaussian_env(3, 0.5, 0.1, 1.0),
+    "semibandit": lambda: hierarchy.semibandit_env(6, 3, 0.5, 0.1, 1.0),
+    "linear": lambda: hierarchy.linear_env(3, 1.0, 0.1, 1.0, num_arms=8),
+    # point-mass meta-prior: meta-ts samples its center without noise
+    "gaussian-point-meta": lambda: hierarchy.gaussian_env(2, 0.0, 0.1, 1.0, mu_q=[0.4, -0.3]),
+    "gaussian-zero-width-arms": lambda: hierarchy.gaussian_env(3, 0.5, [0.0, 0.1, 0.0], 1.0),
+    "semibandit-zero-width-arms": lambda: hierarchy.semibandit_env(
+        4, 2, 0.5, [0.0, 0.1, 0.0, 0.1], 1.0),
+    # dense point mass: meta-ts draws nothing from its stream
+    "linear-point-meta": lambda: hierarchy.linear_env(2, 0.0, 0.1, 1.0, mu_q=[0.3, -0.2]),
+    # collinear actions: forced exploration falls back to raw vectors 0.5 e_i
+    "linear-collinear-actions": lambda: hierarchy.linear_env(
+        2, 1.0, 0.1, 1.0, actions=[[0.5, 0.0], [0.25, 0.0], [0.1, 0.0]]),
+    # singular task prior: oracle-ts posteriors factor only with jitter
+    "linear-jitter": lambda: hierarchy.linear_env(2, 0.5, [0.1, 0.0], 1.0),
+    "mixture": lambda: hierarchy.mixture_env(
+        3, [[9, 9, 9], [1, 1, 1]], [[1, 1, 1], [9, 9, 9]]),
+}
+
+ENGINE_DIGESTS = {
+    ("gaussian", True): "fc255485f7b4421bce53bfae855739dc4c5365fda416345d8e7e5c16c357c243",
+    ("gaussian", False): "680ba2c705eee98758c6341e42a2b016d0bf55a4e9b07c55bd908b25ffa9ef0f",
+    ("semibandit", True): "78f153e7a1a79df207147b0bd6f0ec842965da0c29026ab44453c6a810718afa",
+    ("semibandit", False): "f42001baf80391e7f26febeb0dcc6e33062b3837cbc2b2a1347ef7824c298120",
+    ("linear", True): "3aba890cf52c189cc34f21fb6fb1440b1bf35fa6cd4e13f57ca2f424786c2f73",
+    ("linear", False): "698e3852bc0e9d212bf895d1ba69b83c476811a87605554c09786c95462b0f70",
+    ("gaussian-point-meta", True): "7c592f51ca0c03a7796d4bec17a51ce0af0487477a91e1fc21df21f771880045",
+    ("gaussian-point-meta", False): "5a31a29661d36623a1a3f837b3cbe1ee3699fcaeaa749e17586576f2f77f30fa",
+    ("gaussian-zero-width-arms", True): "dd59a8c58d661227405a37c2c1f39956fe1d027c5776202681b18e733490e470",
+    ("gaussian-zero-width-arms", False): "8f9afda06d0e3d982d54d1416414b2d8992646731e617d0bbb66c1e419744cd1",
+    ("semibandit-zero-width-arms", True): "9bf3e5fdbaeb76968b8770483dcd9d6fab63719bc503a5b63c27106f00115feb",
+    ("semibandit-zero-width-arms", False): "0dfad568238ecea3a5e036200ff532800b0f5f41d826a2dde13dfacad9dac1f9",
+    ("linear-point-meta", True): "7e3928709fe928a9fd2013480dee6bba9614a038c6b3d06d5bcb95253c4e3b27",
+    ("linear-point-meta", False): "4530ec0f86b30a056d25b90d4fbf7b27a3a39160e02217409ed8db96d97fcdd0",
+    ("linear-collinear-actions", True): "d04c39c66a04763bc627f56d4bd2bcad4135c874ef3bec080d3d194ec1638547",
+    ("linear-collinear-actions", False): "1d90beda05683043ff536a9b5df1129d0509256fc17c148120a954d86319bd63",
+    ("linear-jitter", True): "cf99de25962165aebb0f4b5a6423599a191721bae035ff5d2352f2185fa2b2ea",
+    ("linear-jitter", False): "b6305ed8877eb1f0f0b3ddc01718d72aab60f6f19fb76ec4a29dd326b55c06ce",
+    ("mixture", True): "cd9dc7aa8e85085b327db29e53b72f4c590e3c80ebbd6a1aade1620c28de5d94",
+    ("mixture", False): "99019ad1ceaaadc59470c1cde78df1e797870157a89cc78e08fe13261286f8f8",
+}
+
+
+@pytest.mark.parametrize("name,common_tasks", list(ENGINE_DIGESTS))
+def test_engine_reproduces_pinned_traces(name, common_tasks):
+    spec = ENGINE_SPECS[name]()
+    mixture = spec.family == hierarchy.BERNOULLI_MIXTURE
+    config = small_config(agent_names=MIXTURE_KINDS if mixture else GAUSSIAN_KINDS,
+                          spec=spec, runs=3, m=5, n=12, common_tasks=common_tasks)
+    trace = harness.run_experiment(config)
+    h = hashlib.sha256()
+    for kind in config.agents:
+        h.update(trace.instant[kind.label].tobytes())
+    for key in sorted(trace.task_hashes):
+        h.update(f"{key}={trace.task_hashes[key]}".encode())
+    assert h.hexdigest() == ENGINE_DIGESTS[(name, common_tasks)]
 
 
 def test_cumulative_is_monotone_and_flattened():

@@ -50,6 +50,19 @@ def test_mixture_weights_must_be_nonnegative():
         hierarchy.mixture_env(1, alphas=[[9], [1]], betas=[[1], [9]], weights=[2.0, -1.0])
 
 
+def test_mixture_weights_must_be_finite():
+    with pytest.raises(ValueError, match="finite"):
+        hierarchy.mixture_env(2, alphas=[[9, 9], [1, 1]], betas=[[1, 1], [9, 9]],
+                              weights=[np.nan, 1.0])
+
+
+def test_mixture_weights_need_one_per_component():
+    for weights in ([0.3, 0.3, 0.4], [1.0]):
+        with pytest.raises(ValueError, match="one mixture weight per component"):
+            hierarchy.mixture_env(2, alphas=[[9, 9], [1, 1]], betas=[[1, 1], [9, 9]],
+                                  weights=weights)
+
+
 def test_noise_sigma_must_be_positive():
     with pytest.raises(ValueError):
         hierarchy.gaussian_env(2, sigma_q=0.5, sigma_0=0.1, noise_sigma=0.0)
