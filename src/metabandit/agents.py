@@ -77,6 +77,19 @@ class AgentKind:
         raise UnknownAgent(f"unknown agent {name!r}")
 
 
+def require_family(kind, family):
+    """Raise UnknownAgent, naming the agent, unless `kind` is defined for the
+    reward `family`: misassigned-ts pins a wrong mixture component, so it
+    needs the mixture family, while forced exploration and the rescaled
+    meta-prior of ada-ts+/ada-ts- need a Gaussian one."""
+    if family == hierarchy.BERNOULLI_MIXTURE:
+        undefined = kind.base == ADA_TS_FORCED or kind.scale != 1.0
+    else:
+        undefined = kind.base == MISASSIGNED_TS
+    if undefined:
+        raise UnknownAgent(f"agent {kind.label!r} is not defined for the {family} family")
+
+
 def scale_meta_prior(spec, scale):
     """Rescale the meta-prior width by `scale` (covariance by scale**2).
 
@@ -121,9 +134,6 @@ class FullMetaPosterior:
     def __init__(self, mean, cov):
         self.mean = np.array(mean, dtype=float)
         self.cov = symmetrize(cov)
-
-    def copy(self):
-        return FullMetaPosterior(self.mean, self.cov)
 
     def sample(self, rng):
         if not np.any(self.cov):
@@ -494,9 +504,6 @@ class MixtureMetaPosterior:
     def weights(self):
         return np.exp(self.log_weights)
 
-    def copy(self):
-        return MixtureMetaPosterior(self.log_weights, self.alphas, self.betas)
-
 
 def mixture_update(meta, history):
     """Reweight components by the marginal likelihood of one task's history.
@@ -534,9 +541,6 @@ class MixtureTaskState:
         self.log_weights = np.array(log_weights, dtype=float)
         self.alphas = np.array(alphas, dtype=float)
         self.betas = np.array(betas, dtype=float)
-
-    def copy(self):
-        return MixtureTaskState(self.log_weights, self.alphas, self.betas)
 
     def update(self, arm, outcome):
         """Condition on one Bernoulli observation: components are reweighted
@@ -582,6 +586,7 @@ class GaussianFamilyAgent:
     """
 
     def __init__(self, kind, spec, rng, mu_star=None, exploration_actions=None):
+        require_family(kind, spec.family)
         self.kind = kind
         self.spec = scale_meta_prior(spec, kind.scale) if kind.scale != 1.0 else spec
         self.rng = rng
@@ -656,8 +661,7 @@ class MixtureFamilyAgent:
     """
 
     def __init__(self, kind, spec, rng, mu_star=None):
-        if kind.base in (ADA_TS_FORCED,):
-            raise UnknownAgent("forced exploration is not defined for mixtures")
+        require_family(kind, spec.family)
         self.kind = kind
         self.spec = spec
         self.rng = rng
@@ -701,9 +705,3 @@ class MixtureFamilyAgent:
     def end_task(self):
         if self._learns:
             self.meta = mixture_update(self.meta, self.history)
-
-
-def make_agent(kind, spec, rng, mu_star=None, exploration_actions=None):
-    if spec.family == hierarchy.BERNOULLI_MIXTURE:
-        return MixtureFamilyAgent(kind, spec, rng, mu_star)
-    return GaussianFamilyAgent(kind, spec, rng, mu_star, exploration_actions)

@@ -8,12 +8,14 @@ Subcommands:
 * ``sweep``  cross-product of ``run`` over comma-separated --sigma-q and
              --arms/--dim values; one CSV per cell in the output directory.
 
-Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
+The argparse parser is the only declaration of the flags: each flag's type
+checks its own domain, config files are read through the same parser, and
+format_argv walks it.  Exit codes: 0 on success, 1 on runtime failure, 2 on
+usage errors.
 """
 
 import argparse
 import csv
-from dataclasses import dataclass, fields
 import math
 import os
 import sys
@@ -24,15 +26,28 @@ from . import agents as agents_mod
 from . import bounds, harness, hierarchy
 from .gauss_core import RngStream
 
-ENVS = ("gaussian", "linear", "semibandit", "bernoulli-mixture")
+
+def _checked(convert, ok, rule):
+    """An argparse type: `convert` the text, then require `ok(value)`."""
+    def check(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+    return check
 
 
-def _float_list(text):
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _int_list(text):
-    return tuple(int(v) for v in text.split(",") if v.strip())
+def _comma_list(item):
+    """An argparse type: a non-empty comma list of `item`s, as a tuple."""
+    def parse_list(text):
+        values = tuple(item(v) for v in text.split(",") if v.strip())
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a comma list, got {text!r}")
+        return values
+    return parse_list
 
 
 def _bool_flag(text):
@@ -44,33 +59,37 @@ def _bool_flag(text):
     raise argparse.ArgumentTypeError(f"expected true/false, got {text!r}")
 
 
-@dataclass(frozen=True)
-class CliInvocation:
-    """A parsed command line, normalized so that parse/format round-trip."""
+def _agent_name(text):
+    try:
+        return agents_mod.AgentKind.from_name(text).label
+    except agents_mod.UnknownAgent as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
-    command: str
-    env: str = None
-    arms: tuple = None
-    dim: tuple = None
-    budget: int = None
-    sigma_q: tuple = None
-    sigma_0: tuple = None
-    noise: float = 1.0
-    tasks: int = None
-    rounds: int = None
-    runs: int = None
-    agents: tuple = None
-    seed: int = 0
-    common_tasks: bool = True
-    out: str = None
-    threads: int = 1
-    mixture: str = None
-    mixture_weights: tuple = None
-    delta: float = None
-    eta: float = None
+
+def _parse_mixture(text):
+    """Beta components 'alpha:beta;alpha:beta' as (alphas, betas); raises
+    ValueError unless every parameter is finite and positive."""
+    alphas, betas = [], []
+    for chunk in filter(str.strip, text.split(";")):
+        alpha, beta = (float(v) for v in chunk.split(":"))
+        alphas.append(alpha)
+        betas.append(beta)
+    if not (alphas and all(math.isfinite(v) and v > 0 for v in alphas + betas)):
+        raise ValueError(f"bad mixture {text!r}")
+    return alphas, betas
+
+
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_width = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_level = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
+_weights = _checked(_comma_list(_width), lambda w: sum(w) > 0, "weights not all zero")
+_mixture = _checked(str.strip, _parse_mixture,
+                    "alpha:beta;alpha:beta with finite alpha, beta > 0")
 
 
 def _build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="metabandit",
         description="Meta-learning Thompson sampling bandit simulations",
@@ -78,29 +97,32 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_env_flags(p, need_run):
-        p.add_argument("--env", required=True, choices=ENVS)
-        p.add_argument("--arms", type=_int_list, help="arm count (comma list in sweep)")
-        p.add_argument("--dim", type=_int_list, help="linear dimension (comma list in sweep)")
-        p.add_argument("--budget", type=int, help="semibandit arms per round")
-        p.add_argument("--sigma-q", type=_float_list, dest="sigma_q",
+        p.add_argument("--env", required=True, choices=hierarchy.FAMILIES)
+        p.add_argument("--arms", type=_comma_list(_count),
+                       help="arm count (comma list in sweep)")
+        p.add_argument("--dim", type=_comma_list(_count),
+                       help="linear dimension (comma list in sweep)")
+        p.add_argument("--budget", type=_count, help="semibandit arms per round")
+        p.add_argument("--sigma-q", type=_comma_list(_width), dest="sigma_q",
                        help="meta-prior width(s); per-arm comma list allowed")
-        p.add_argument("--sigma-0", type=_float_list, dest="sigma_0", default=(0.1,),
+        p.add_argument("--sigma-0", type=_comma_list(_width), dest="sigma_0", default=(0.1,),
                        help="task-prior width(s); per-arm comma list allowed")
-        p.add_argument("--noise", type=float, default=1.0)
-        p.add_argument("--tasks", type=int, required=True)
-        p.add_argument("--rounds", type=int, required=True)
-        p.add_argument("--mixture", help="Beta components as alpha:beta;alpha:beta")
-        p.add_argument("--mixture-weights", type=_float_list, dest="mixture_weights")
+        p.add_argument("--noise", type=_positive, default=1.0)
+        p.add_argument("--tasks", type=_count, required=True)
+        p.add_argument("--rounds", type=_count, required=True)
+        p.add_argument("--mixture", type=_mixture,
+                       help="Beta components as alpha:beta;alpha:beta")
+        p.add_argument("--mixture-weights", type=_weights, dest="mixture_weights")
         p.add_argument("--config", help="key=value file overriding flags")
         if need_run:
-            p.add_argument("--runs", type=int, required=True)
-            p.add_argument("--agents", required=True,
+            p.add_argument("--runs", type=_count, required=True)
+            p.add_argument("--agents", type=_comma_list(_agent_name), required=True,
                            help="comma list: ts,oracle-ts,meta-ts,ada-ts,ada-ts+,ada-ts-,ada-ts-forced")
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--common-tasks", type=_bool_flag, dest="common_tasks",
                            default=True)
             p.add_argument("--out", required=True)
-            p.add_argument("--threads", type=int, default=1,
+            p.add_argument("--threads", type=_count, default=1,
                            help="accepted for compatibility and validated; has no "
                                 "effect, since every agent advances all runs together")
 
@@ -109,185 +131,111 @@ def _build_parser():
 
     bound_p = sub.add_parser("bound", help="evaluate the regret bound")
     add_env_flags(bound_p, need_run=False)
-    bound_p.add_argument("--delta", type=float, help="failure level; default 1/rounds**2")
-    bound_p.add_argument("--eta", type=float,
+    bound_p.add_argument("--delta", type=_level, help="failure level; default 1/rounds**2")
+    bound_p.add_argument("--eta", type=_positive,
                          help="exploration strength; derived from --seed's run-0 action set if omitted")
     bound_p.add_argument("--seed", type=int, default=0)
 
     sweep_p = sub.add_parser("sweep", help="cross-product of runs over sigma-q and arms/dim")
     add_env_flags(sweep_p, need_run=True)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(parser, args):
-    """Config files are flat key=value lines mirroring flag names; their
-    values override whatever was given on the command line."""
-    converters = {
-        "env": str,
-        "arms": _int_list,
-        "dim": _int_list,
-        "budget": int,
-        "sigma-q": _float_list,
-        "sigma-0": _float_list,
-        "noise": float,
-        "tasks": int,
-        "rounds": int,
-        "runs": int,
-        "agents": str,
-        "seed": int,
-        "common-tasks": _bool_flag,
-        "out": str,
-        "threads": int,
-        "mixture": str,
-        "mixture-weights": _float_list,
-        "delta": float,
-        "eta": float,
-    }
+def _config_argv(parser, path):
+    """A config file's flat key=value lines (keys are the subcommand's long
+    flags, less --config and --help; '#' starts a comment) as --key=value
+    arguments, so each value passes its flag's own type and choices."""
+    keys = {opt for action in parser._actions for opt in action.option_strings
+            if opt.startswith("--")} - {"--config", "--help"}
     try:
-        with open(args.config, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as err:
-        raise RuntimeError(f"cannot read config file: {err}") from err
+        parser.error(f"argument --config: cannot read {path!r}: {err.strerror}")
+    argv = []
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
             parser.error(f"bad config line {raw.strip()!r}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in converters or not hasattr(args, key.replace("-", "_")):
+        if f"--{key}" not in keys:
             parser.error(f"unknown config key {key!r}")
-        try:
-            setattr(args, key.replace("-", "_"), converters[key](value))
-        except (ValueError, argparse.ArgumentTypeError) as err:
-            parser.error(f"bad config value for {key!r}: {err}")
+        argv.append(f"--{key}={value}")
+    return argv
 
 
 def parse(argv):
-    """Parse argv into a CliInvocation; argparse handles usage errors."""
-    parser = _build_parser()
+    """Parse argv into an argparse Namespace with `command` set.  Config-file
+    values override the command line; usage errors exit 2 through argparse."""
+    parser, commands = _build_parser()
+    argv = list(argv)
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        _apply_config_file(parser, args)
-    data = {"command": args.command}
-    for f in fields(CliInvocation):
-        if f.name == "command":
-            continue
-        if hasattr(args, f.name):
-            data[f.name] = getattr(args, f.name)
-    if data.get("agents") and isinstance(data["agents"], str):
-        data["agents"] = tuple(name.strip() for name in data["agents"].split(",") if name.strip())
-    inv = CliInvocation(**data)
-    _validate(parser, inv)
-    return inv
+    if args.config:
+        args = parser.parse_args(argv + _config_argv(commands[args.command], args.config))
+    del args.config
+    _validate(commands[args.command], args)
+    return args
 
 
 def _validate(parser, inv):
-    for flag, widths in (("--sigma-q", inv.sigma_q), ("--sigma-0", inv.sigma_0)):
-        if not all(math.isfinite(w) and w >= 0 for w in widths or ()):
-            parser.error(f"{flag} widths must be finite and non-negative")
-    if not (math.isfinite(inv.noise) and inv.noise > 0):
-        parser.error("--noise must be finite and positive")
-    for name in ("tasks", "rounds", "runs"):
-        count = getattr(inv, name)
-        if count is not None and count < 1:
-            parser.error(f"--{name} must be at least 1")
-    if inv.budget is not None and inv.arms and not 1 <= inv.budget <= min(inv.arms):
-        parser.error("--budget must be between 1 and --arms")
-    if inv.env == "linear":
-        if not inv.dim:
-            parser.error("--env linear requires --dim")
-    elif inv.env in ("gaussian", "semibandit", "bernoulli-mixture"):
-        if not inv.arms:
-            parser.error(f"--env {inv.env} requires --arms")
-    if inv.env == "semibandit" and not inv.budget:
+    """Rules that join several flags; each flag's own domain is its type."""
+    if inv.command == "bound" and inv.env not in (hierarchy.LINEAR, hierarchy.SEMIBANDIT):
+        parser.error(f"--env {inv.env} has no regret bound; use linear or semibandit")
+    size_flag = "--dim" if inv.env == hierarchy.LINEAR else "--arms"
+    sizes = getattr(inv, size_flag[2:])
+    if not sizes:
+        parser.error(f"--env {inv.env} requires {size_flag}")
+    if inv.env == hierarchy.SEMIBANDIT and inv.budget is None:
         parser.error("--env semibandit requires --budget")
-    if inv.env == "bernoulli-mixture":
-        if not inv.mixture:
+    if inv.budget is not None and inv.arms and inv.budget > min(inv.arms):
+        parser.error("--budget must be between 1 and --arms")
+    if inv.env == hierarchy.BERNOULLI_MIXTURE:
+        if inv.mixture is None:
             parser.error("--env bernoulli-mixture requires --mixture")
-        weights = inv.mixture_weights
-        components = sum(1 for chunk in inv.mixture.split(";") if chunk.strip())
-        if weights is not None and len(weights) != components:
+        components = len(_parse_mixture(inv.mixture)[0])
+        if inv.mixture_weights and len(inv.mixture_weights) != components:
             parser.error(
                 f"--mixture-weights needs one weight per --mixture component "
-                f"({components}), got {len(weights)}"
+                f"({components}), got {len(inv.mixture_weights)}"
             )
-        if weights and not (all(math.isfinite(w) and w >= 0 for w in weights) and sum(weights) > 0):
-            parser.error("--mixture-weights must be finite, non-negative and not all zero")
-    elif inv.command in ("run", "sweep") and not inv.sigma_q:
+    elif not inv.sigma_q:
         parser.error(f"--env {inv.env} requires --sigma-q")
-    if inv.command in ("run", "sweep"):
-        for name in inv.agents or ():
-            try:
-                agents_mod.AgentKind.from_name(name)
-            except agents_mod.UnknownAgent as err:
-                parser.error(str(err))
-        if inv.threads < 1:
-            parser.error("--threads must be positive")
-    if inv.command == "run" and inv.env != "bernoulli-mixture":
-        if len(inv.sigma_q) not in (1, _param_dim(inv)):
-            parser.error("--sigma-q must be scalar or one width per coordinate")
+    else:
+        # sweep's --sigma-q lists one width per cell; run and bound use the
+        # first --arms/--dim value, sweep every one
+        cells = set(sizes if inv.command == "sweep" else sizes[:1])
+        per_coordinate = {"--sigma-0": inv.sigma_0}
+        if inv.command != "sweep":
+            per_coordinate["--sigma-q"] = inv.sigma_q
+        for flag, widths in per_coordinate.items():
+            if len(widths) > 1 and cells != {len(widths)}:
+                parser.error(f"{flag} must be scalar or one width per coordinate")
+    for name in getattr(inv, "agents", ()):
+        try:
+            agents_mod.require_family(agents_mod.AgentKind.from_name(name), inv.env)
+        except agents_mod.UnknownAgent as err:
+            parser.error(f"--agents: {err}")
 
 
-def _param_dim(inv):
-    if inv.env == "linear":
-        return inv.dim[0]
-    return inv.arms[0]
+def _format_value(value):
+    if isinstance(value, tuple):
+        return ",".join(map(_format_value, value))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def format_argv(inv):
-    """Canonical argv for an invocation; parse(format_argv(inv)) == inv."""
-    out = [inv.command, "--env", inv.env]
-
-    def fmt(value):
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    def joined(values):
-        return ",".join(fmt(v) for v in values)
-
-    if inv.arms:
-        out += ["--arms", joined(inv.arms)]
-    if inv.dim:
-        out += ["--dim", joined(inv.dim)]
-    if inv.budget:
-        out += ["--budget", str(inv.budget)]
-    if inv.sigma_q:
-        out += ["--sigma-q", joined(inv.sigma_q)]
-    out += ["--sigma-0", joined(inv.sigma_0), "--noise", fmt(inv.noise)]
-    out += ["--tasks", str(inv.tasks), "--rounds", str(inv.rounds)]
-    if inv.mixture:
-        out += ["--mixture", inv.mixture]
-    if inv.mixture_weights:
-        out += ["--mixture-weights", joined(inv.mixture_weights)]
-    if inv.command in ("run", "sweep"):
-        out += ["--runs", str(inv.runs), "--agents", ",".join(inv.agents)]
-        out += ["--seed", str(inv.seed), "--common-tasks", fmt(inv.common_tasks)]
-        out += ["--out", inv.out, "--threads", str(inv.threads)]
-    else:
-        if inv.delta is not None:
-            out += ["--delta", fmt(inv.delta)]
-        if inv.eta is not None:
-            out += ["--eta", fmt(inv.eta)]
-        out += ["--seed", str(inv.seed)]
-    return out
-
-
-def _parse_mixture(text):
-    alphas, betas = [], []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        alpha, _, beta = chunk.partition(":")
-        alphas.append(float(alpha))
-        betas.append(float(beta))
-    if not alphas:
-        raise RuntimeError(f"no mixture components in {text!r}")
-    return alphas, betas
+    """Canonical argv for a parsed invocation: every flag it holds, in the
+    order of the subcommand's parser; parse(format_argv(inv)) == inv."""
+    argv = [inv.command]
+    for action in _build_parser()[1][inv.command]._actions:
+        value = getattr(inv, action.dest, None)
+        if action.option_strings and value is not None:
+            argv += [action.option_strings[0], _format_value(value)]
+    return argv
 
 
 def build_spec(inv, sigma_q=None, arms=None, dim=None):
@@ -373,9 +321,7 @@ def _derived_eta(inv):
     spec = build_spec(inv)
     stream = RngStream(inv.seed, harness._stream_id("tasks", "", 0))
     run_spec = harness._sample_run_actions(spec, stream)
-    plan, eta = agents_mod.choose_spanning_actions(run_spec.actions)
-    del plan
-    return eta
+    return agents_mod.choose_spanning_actions(run_spec.actions)[1]
 
 
 def _require_finite(curve):
@@ -385,28 +331,28 @@ def _require_finite(curve):
             raise RuntimeError(f"agent {label!r} has non-finite regret; no CSV written")
 
 
-def _cmd_run(inv):
-    config = build_config(inv)
-    trace = harness.run_experiment(config)
-    curve = harness.aggregate(trace)
+def _write_curve(inv, path, spec=None):
+    curve = harness.aggregate(harness.run_experiment(build_config(inv, spec)))
     _require_finite(curve)
-    emit_csv(curve, inv.out)
-    print(inv.out)
+    emit_csv(curve, path)
+    print(path)
+
+
+def _cmd_run(inv):
+    _write_curve(inv, inv.out)
     return 0
 
 
 def _cmd_bound(inv):
-    spec = build_spec(inv)
-    delta = inv.delta if inv.delta is not None else 1.0 / inv.rounds**2
+    """Linear or semibandit only; _validate rejects the other families."""
     if inv.env == "linear":
         eta = inv.eta if inv.eta is not None else _derived_eta(inv)
-        inputs = bounds.inputs_from_env(spec, inv.tasks, inv.rounds, delta, eta=eta)
-        total, terms = bounds.total_bound_linear(inputs)
-    elif inv.env == "semibandit":
-        inputs = bounds.inputs_from_env(spec, inv.tasks, inv.rounds, delta)
-        total, terms = bounds.total_bound_semibandit(inputs)
+        total_bound = bounds.total_bound_linear
     else:
-        raise RuntimeError(f"no bound evaluator for --env {inv.env}")
+        eta, total_bound = None, bounds.total_bound_semibandit
+    total, terms = total_bound(
+        bounds.inputs_from_env(build_spec(inv), inv.tasks, inv.rounds, inv.delta, eta=eta)
+    )
     for name, value in terms.items():
         print(f"term_{name}={_cell(value)}")
     print(f"total={_cell(total)}")
@@ -419,26 +365,16 @@ def _sweep_cells(inv):
             for d in inv.dim:
                 yield sq, None, d, f"sq{sq:g}_d{d}"
     else:
-        for sq in inv.sigma_q or ((None,) if inv.env == "bernoulli-mixture" else ()):
+        for sq in inv.sigma_q or (None,):  # only the mixture family has none
             for k in inv.arms:
                 yield sq, k, None, f"sq{sq:g}_K{k}" if sq is not None else f"K{k}"
 
 
 def _cmd_sweep(inv):
     os.makedirs(inv.out, exist_ok=True)
-    paths = []
     for sq, arms, dim, tag in _sweep_cells(inv):
         spec = build_spec(inv, sigma_q=sq, arms=arms, dim=dim)
-        config = build_config(inv, spec)
-        trace = harness.run_experiment(config)
-        curve = harness.aggregate(trace)
-        _require_finite(curve)
-        path = os.path.join(inv.out, f"{inv.env}_{tag}.csv")
-        emit_csv(curve, path)
-        paths.append(path)
-        print(path)
-    if not paths:
-        raise RuntimeError("sweep produced no cells; check --sigma-q/--arms/--dim")
+        _write_curve(inv, os.path.join(inv.out, f"{inv.env}_{tag}.csv"), spec)
     return 0
 
 
@@ -448,11 +384,7 @@ def main(argv=None):
     except SystemExit as err:
         return err.code if err.code is not None else 2
     try:
-        if inv.command == "run":
-            return _cmd_run(inv)
-        if inv.command == "bound":
-            return _cmd_bound(inv)
-        return _cmd_sweep(inv)
+        return {"run": _cmd_run, "bound": _cmd_bound, "sweep": _cmd_sweep}[inv.command](inv)
     except Exception as err:  # runtime failures exit 1, with a diagnostic
         print(f"error: {err}", file=sys.stderr)
         return 1

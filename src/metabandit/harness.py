@@ -29,8 +29,8 @@ class EmptyTrace(Exception):
     """No successful runs to aggregate."""
 
 
-class UnknownAgent(Exception):
-    """Agent label missing from a trace or curve."""
+# Raised for an agent label missing from a trace or curve.
+UnknownAgent = agents_mod.UnknownAgent
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +77,6 @@ class AggregateCurve:
     config: ExperimentConfig
     mean: dict               # label -> array (m, n)
     stderr: dict             # label -> array (m, n)
-    runs_used: dict          # label -> int
 
 
 def _stream_id(purpose, label, run):
@@ -228,7 +227,7 @@ def run_experiment(config):
 
 def aggregate(trace):
     """Mean cumulative regret and its standard error across runs."""
-    mean, stderr, used = {}, {}, {}
+    mean, stderr = {}, {}
     for kind in trace.config.agents:
         label = kind.label
         if label not in trace.instant or trace.instant[label].shape[0] == 0:
@@ -240,8 +239,7 @@ def aggregate(trace):
             stderr[label] = cum.std(axis=0, ddof=1) / np.sqrt(runs)
         else:
             stderr[label] = np.zeros_like(mean[label])
-        used[label] = runs
-    return AggregateCurve(trace.config, mean, stderr, used)
+    return AggregateCurve(trace.config, mean, stderr)
 
 
 def final_regret(curve, label):

@@ -1,6 +1,7 @@
 """Policies and their conjugate updates, across all reward families."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -729,11 +730,22 @@ def test_mixture_agent_kinds_pin_expected_components():
         agents.MixtureFamilyAgent(agents.AgentKind("ada-ts-forced"), spec, rng)
 
 
-def test_make_agent_dispatches_by_family():
-    gauss_agent = agents.make_agent(agents.AgentKind("ts"), gauss_spec(), RngStream(9))
-    assert isinstance(gauss_agent, agents.GaussianFamilyAgent)
-    mix_agent = agents.make_agent(agents.AgentKind("ts"), mixture_spec(), RngStream(9), mu_star=0)
-    assert isinstance(mix_agent, agents.MixtureFamilyAgent)
+@pytest.mark.parametrize("name", ["ada-ts+", "ada-ts-"])
+def test_mixture_agent_rejects_rescaled_meta_prior(name):
+    kind = agents.AgentKind.from_name(name)
+    with pytest.raises(agents.UnknownAgent, match=re.escape(repr(name))):
+        agents.MixtureFamilyAgent(kind, mixture_spec(), RngStream(9), mu_star=0)
+
+
+@pytest.mark.parametrize("spec", [
+    hierarchy.gaussian_env(2, 0.5, 0.1, 1.0),
+    hierarchy.linear_env(2, 1.0, 0.1, 1.0),
+    hierarchy.semibandit_env(4, 2, 0.5, 0.1, 1.0),
+], ids=["gaussian", "linear", "semibandit"])
+def test_gaussian_agent_rejects_misassigned_ts(spec):
+    kind = agents.AgentKind.from_name("misassigned-ts")
+    with pytest.raises(agents.UnknownAgent, match="'misassigned-ts'"):
+        agents.GaussianFamilyAgent(kind, spec, RngStream(9), mu_star=np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

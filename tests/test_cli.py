@@ -68,6 +68,10 @@ BAD_INPUTS = [
     ("--noise", "nan"), ("--noise", "inf"), ("--noise", "0"), ("--noise", "-1"),
     ("--tasks", "0"), ("--rounds", "0"), ("--runs", "0"),
     ("--budget", "11"),
+    ("--arms", "0"), ("--dim", "0"),
+    ("--sigma-q", "0.1,0.2,0.3"), ("--sigma-0", "0.1,0.2,0.3"),
+    ("--mixture", "a:1;1:9"), ("--mixture", "9;1:9"), ("--mixture", "0:1;1:9"),
+    ("--mixture", "inf:1;1:9"), ("--mixture", "1:2:3"),
 ]
 
 
@@ -93,6 +97,56 @@ def test_invalid_mixture_weights_exit_2_and_write_nothing(tmp_path, capsys, weig
     assert cli.main(argv) == 2
     assert "--mixture-weights" in capsys.readouterr().err.partition("error:")[2]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--arms", "4,0"), ("--sigma-0", "0.1,0.1")])
+def test_invalid_sweep_exits_2_and_writes_nothing(tmp_path, capsys, flag, value):
+    """A bad cell is refused before the first cell is written."""
+    out = tmp_path / "cells"
+    flags = {"--arms": "2,3", "--sigma-q": "0.5", "--tasks": "1", "--rounds": "2",
+             "--runs": "1", "--agents": "ts", "--out": str(out), flag: value}
+    argv = ["sweep", "--env", "gaussian"] + [v for pair in flags.items() for v in pair]
+    assert cli.main(argv) == 2
+    assert flag in capsys.readouterr().err.partition("error:")[2]
+    assert not out.exists()
+
+
+MIXTURE_FLAGS = {"--env": "bernoulli-mixture", "--arms": "3", "--mixture": "9:1;1:9",
+                 "--sigma-q": None}
+
+
+@pytest.mark.parametrize("family,agent", [
+    ("bernoulli-mixture", "ada-ts-forced"), ("bernoulli-mixture", "ada-ts+"),
+    ("bernoulli-mixture", "ada-ts-"), ("gaussian", "misassigned-ts"),
+    ("linear", "misassigned-ts"), ("semibandit", "misassigned-ts"),
+])
+def test_agent_outside_its_family_exits_2_and_writes_nothing(tmp_path, capsys, family, agent):
+    out = tmp_path / "out.csv"
+    overrides = {"bernoulli-mixture": MIXTURE_FLAGS, "linear": LINEAR_FLAGS,
+                 "semibandit": {"--env": "semibandit", "--arms": "4", "--budget": "2"},
+                 "gaussian": {}}[family]
+    argv = run_argv(out=str(out), **dict(overrides, **{
+        "--tasks": "2", "--rounds": "3", "--runs": "2", "--agents": f"ada-ts,{agent}",
+    }))
+    assert cli.main(argv) == 2
+    assert repr(agent) in capsys.readouterr().err.partition("error:")[2]
+    assert not out.exists()
+
+
+BOUND_ARGV = ["bound", "--env", "linear", "--dim", "2", "--sigma-q", "1",
+              "--tasks", "2", "--rounds", "3"]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--delta", "0"), ("--delta", "1.5"), ("--delta", "nan"), ("--eta", "0"),
+    ("--eta", "-1"), ("--env", "bernoulli-mixture"),
+])
+def test_bound_invalid_input_exits_2(capsys, flag, value):
+    argv = BOUND_ARGV + [flag, value]
+    if value == "bernoulli-mixture":
+        argv += ["--arms", "2", "--mixture", "9:1;1:9"]
+    assert cli.main(argv) == 2
+    assert flag in capsys.readouterr().err.partition("error:")[2]
 
 
 def test_semibandit_budget_above_arms_exits_2(capsys):
@@ -186,6 +240,69 @@ def test_config_file_bad_line_is_usage_error(tmp_path):
     assert err.value.code == 2
 
 
+def minimal_argv(command, tmp_path):
+    """A valid invocation that sets only the required flags."""
+    if command == "bound":
+        return BOUND_ARGV
+    return [command, "--env", "gaussian", "--arms", "2", "--sigma-q", "0.5",
+            "--tasks", "1", "--rounds", "2", "--runs", "1", "--agents", "ts",
+            "--out", str(tmp_path / "out")]
+
+
+def every_flag_argv(command):
+    """A valid invocation that sets every flag of the subcommand but --config."""
+    argv = [command, "--env", "semibandit", "--arms", "4", "--dim", "3", "--budget", "2",
+            "--sigma-q", "0.5", "--sigma-0", "0.2", "--noise", "2", "--tasks", "3",
+            "--rounds", "4", "--mixture", "9:1;1:9", "--mixture-weights", "0.25,0.75",
+            "--seed", "5"]
+    if command == "bound":
+        return argv + ["--delta", "0.01", "--eta", "0.5"]
+    return argv + ["--runs", "2", "--agents", "ts,ada-ts", "--common-tasks", "false",
+                   "--out", "elsewhere", "--threads", "3"]
+
+
+COMMANDS = ["run", "bound", "sweep"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_keys_are_the_long_flags(tmp_path, capsys, command):
+    with pytest.raises(SystemExit):
+        cli.parse([command, "--help"])
+    flags = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    full = cli.parse(every_flag_argv(command))
+    argv = cli.format_argv(full)
+    assert set(argv[1::2]) == flags - {"--help", "--config"}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in zip(argv[1::2], argv[2::2])))
+    assert cli.parse(minimal_argv(command, tmp_path) + ["--config", str(cfg)]) == full
+    for key in ("help", "config", "sigma_q"):
+        cfg.write_text(f"{key} = 1\n")
+        with pytest.raises(SystemExit) as err:
+            cli.parse(minimal_argv(command, tmp_path) + ["--config", str(cfg)])
+        assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("line,flag", [
+    ("env = foo", "--env"), ("tasks = 0", "--tasks"), ("mixture = a:1", "--mixture"),
+])
+def test_config_values_pass_the_flag_checks(tmp_path, capsys, command, line, flag):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(minimal_argv(command, tmp_path) + ["--config", str(cfg)]) == 2
+    assert flag in capsys.readouterr().err.partition("error:")[2]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unreadable_config_exits_2_without_traceback(tmp_path, capsys, command):
+    argv = minimal_argv(command, tmp_path) + ["--config", str(tmp_path / "missing.cfg")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--config" in err.partition("error:")[2]
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
@@ -223,7 +340,7 @@ def test_curve_csv_structure_and_determinism(tmp_path):
 
 def test_empty_curve_writes_header_only(tmp_path):
     config = tiny_trace().config
-    curve = harness.AggregateCurve(config, {}, {}, {})
+    curve = harness.AggregateCurve(config, {}, {})
     path = tmp_path / "empty.csv"
     cli.emit_csv(curve, path)
     assert path.read_text().splitlines() == ["agent,task,round,mean_cum_regret,stderr"]
@@ -322,7 +439,7 @@ def test_bound_subcommand_rejects_gaussian(capsys):
         ["bound", "--env", "gaussian", "--arms", "2", "--sigma-q", "0.5",
          "--tasks", "2", "--rounds", "3"]
     )
-    assert rc == 1
+    assert rc == 2
 
 
 def test_sweep_writes_one_csv_per_cell(tmp_path, capsys):
