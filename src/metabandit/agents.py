@@ -15,9 +15,12 @@ Between tasks the adaptive policies absorb the task's sufficient statistics
 into a meta-posterior over the task-prior mean (Gaussian families) or over
 the mixture component (Bernoulli mixture family).
 
-The Gaussian-family state (posteriors, meta-posteriors, sufficient
+The state of every family (posteriors, meta-posteriors, sufficient
 statistics) works with or without a leading run axis, so one agent can play
-many independent runs in lockstep; see GaussianFamilyAgent.
+many independent runs in lockstep; see GaussianFamilyAgent and
+MixtureFamilyAgent.  Each run still draws from its own stream: Gaussian draws
+come in blocks (gauss_core.RunStreams), while a mixture agent's draws are
+made run by run, because a Beta draw uses a variable amount of stream.
 """
 
 from dataclasses import dataclass, replace
@@ -478,12 +481,18 @@ def forced_exploration_plan(s, m, spec, exploration_actions=None):
 
 
 def _normalize_log_weights(log_w):
-    top = np.max(log_w)
-    return log_w - (top + np.log(np.sum(np.exp(log_w - top))))
+    top = np.max(log_w, axis=-1, keepdims=True)
+    return log_w - (top + np.log(np.sum(np.exp(log_w - top), axis=-1, keepdims=True)))
+
+
+def _each_stream(rng):
+    """The streams of a RunStreams, or a lone RngStream as a one-run tuple."""
+    return rng.streams if isinstance(rng, RunStreams) else (rng,)
 
 
 class MixtureMetaPosterior:
-    """Categorical belief over which mixture component generates the tasks."""
+    """Categorical belief over which mixture component generates the tasks
+    (one belief per run, as (runs, C) log-weights, when `runs` is given)."""
 
     __slots__ = ("log_weights", "alphas", "betas")
 
@@ -493,38 +502,30 @@ class MixtureMetaPosterior:
         self.betas = np.asarray(betas, dtype=float)
 
     @classmethod
-    def from_spec(cls, spec):
-        return cls(
-            np.log(spec.mixture_weights),
-            spec.mixture_alphas,
-            spec.mixture_betas,
-        )
+    def from_spec(cls, spec, runs=None):
+        log_w = np.log(spec.mixture_weights)
+        if runs is not None:
+            log_w = np.broadcast_to(log_w, (runs,) + log_w.shape)
+        return cls(log_w, spec.mixture_alphas, spec.mixture_betas)
 
     @property
     def weights(self):
         return np.exp(self.log_weights)
 
 
-def mixture_update(meta, history):
-    """Reweight components by the marginal likelihood of one task's history.
+def mixture_update(meta, summary):
+    """Reweight components by the marginal likelihood of one task's data.
 
-    ``history`` is an iterable of (arm, outcome) pairs with outcomes in
-    {0, 1}.  Each component's marginal is a product of Beta-function ratios
-    over arms, accumulated in log space.
+    ``summary`` is the task's ArmSummary of Bernoulli outcomes: per arm (and
+    per run) ``sums`` successes in ``counts`` pulls.  Each component's
+    marginal is a product of Beta-function ratios over arms, accumulated in
+    log space.
     """
-    counts_one = np.zeros(meta.alphas.shape[1])
-    counts_zero = np.zeros(meta.alphas.shape[1])
-    for arm, outcome in history:
-        if outcome not in (0, 1, 0.0, 1.0):
-            raise ValueError(f"Bernoulli outcome must be 0 or 1, got {outcome!r}")
-        if outcome:
-            counts_one[arm] += 1
-        else:
-            counts_zero[arm] += 1
+    ones = summary.sums[..., None, :]
+    zeros = (summary.counts - summary.sums)[..., None, :]
     log_marginals = np.sum(
-        betaln(meta.alphas + counts_one, meta.betas + counts_zero)
-        - betaln(meta.alphas, meta.betas),
-        axis=1,
+        betaln(meta.alphas + ones, meta.betas + zeros) - betaln(meta.alphas, meta.betas),
+        axis=-1,
     )
     return MixtureMetaPosterior(
         meta.log_weights + log_marginals, meta.alphas, meta.betas
@@ -533,38 +534,56 @@ def mixture_update(meta, history):
 
 class MixtureTaskState:
     """Within-task mixture posterior: component weights plus per-component
-    Beta posteriors, all conditioned on the same task data."""
+    Beta posteriors, all conditioned on the same task data.  With a run axis
+    the log-weights are (runs, C) and the Beta tables (runs, C, K)."""
 
-    __slots__ = ("log_weights", "alphas", "betas")
+    __slots__ = ("log_weights", "alphas", "betas", "_rows")
 
     def __init__(self, log_weights, alphas, betas):
         self.log_weights = np.array(log_weights, dtype=float)
-        self.alphas = np.array(alphas, dtype=float)
-        self.betas = np.array(betas, dtype=float)
+        shape = self.log_weights.shape + np.shape(alphas)[-1:]
+        self.alphas = np.array(np.broadcast_to(alphas, shape), dtype=float, order="C")
+        self.betas = np.array(np.broadcast_to(betas, shape), dtype=float, order="C")
+        # flat offset of each component's row of arms (per run) in the tables
+        self._rows = shape[-1] * np.arange(self.log_weights.size).reshape(self.log_weights.shape)
 
     def update(self, arm, outcome):
-        """Condition on one Bernoulli observation: components are reweighted
-        by their predictive probability, then their Beta posteriors absorb
-        the outcome."""
-        a = self.alphas[:, arm]
-        b = self.betas[:, arm]
-        if outcome:
-            self.log_weights = self.log_weights + np.log(a / (a + b))
-            self.alphas[:, arm] = a + 1.0
-        else:
-            self.log_weights = self.log_weights + np.log(b / (a + b))
-            self.betas[:, arm] = b + 1.0
-        self.log_weights = _normalize_log_weights(self.log_weights)
+        """Condition on one Bernoulli observation, or on one per run: the
+        components are reweighted by their predictive probability, then their
+        Beta posteriors absorb the outcome."""
+        outcome = np.asarray(outcome, dtype=float)
+        if not np.all((outcome == 0.0) | (outcome == 1.0)):
+            raise ValueError(f"Bernoulli outcome must be 0 or 1, got {outcome!r}")
+        at = self._rows + np.asarray(arm)[..., None]
+        alphas, betas = hierarchy.flat_view(self.alphas), hierarchy.flat_view(self.betas)
+        a, b = alphas[at], betas[at]
+        hit = outcome[..., None]
+        self.log_weights = _normalize_log_weights(
+            self.log_weights + np.log(np.where(hit, a, b) / (a + b))
+        )
+        alphas[at] = a + hit
+        betas[at] = b + (1.0 - hit)
 
 
 def mixture_ts_select(state, rng):
     """Sample a component, then arm means from its Beta posteriors, and play
-    the greedy arm; ties to the lowest index."""
-    weights = np.exp(state.log_weights)
-    cum = np.cumsum(weights)
-    j = min(int(np.searchsorted(cum, rng.random(), side="right")), weights.shape[0] - 1)
-    theta = rng.beta(state.alphas[j], state.betas[j])
-    return int(np.argmax(theta))
+    the greedy arm; ties to the lowest index.
+
+    With a run axis on `state`, `rng` is a RunStreams and the result holds
+    one arm per run.  Each run's stream gives one `random()`, then one scalar
+    Beta draw per arm, as it would alone: Beta draws use a variable amount
+    of stream, so they cannot be drawn in blocks.
+    """
+    streams = _each_stream(rng)
+    u = np.array([stream.random() for stream in streams])
+    log_w = state.log_weights.reshape(len(streams), -1)
+    rows = hierarchy.flat_index(log_w.shape, hierarchy.pick_component(np.exp(log_w), u))
+    num_arms = state.alphas.shape[-1]
+    alphas = state.alphas.reshape(-1, num_arms)[rows].tolist()
+    betas = state.betas.reshape(-1, num_arms)[rows].tolist()
+    theta = [stream.beta_row(a, b) for stream, a, b in zip(streams, alphas, betas)]
+    best = np.argmax(theta, axis=-1)
+    return int(best[0]) if state.log_weights.ndim == 1 else best
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +677,13 @@ class MixtureFamilyAgent:
     component per task; ``oracle-ts`` pins the true component and
     ``misassigned-ts`` pins a wrong one; plain ``ts`` restarts from the prior
     weights every task.
+
+    Built with an RngStream the agent plays one run and `act` returns an
+    arm.  Built with a RunStreams it plays that object's R runs in lockstep,
+    as GaussianFamilyAgent does: `mu_star` holds each run's component, the
+    component log-weights are (R, C), the Beta tables (R, C, K), and `act`
+    returns one arm per run.  Only the agent's draws are made run by run,
+    from each run's own stream in the order it would use alone.
     """
 
     def __init__(self, kind, spec, rng, mu_star=None):
@@ -665,43 +691,44 @@ class MixtureFamilyAgent:
         self.kind = kind
         self.spec = spec
         self.rng = rng
-        self.true_component = None if mu_star is None else int(mu_star)
-        self.meta = MixtureMetaPosterior.from_spec(spec)
+        self.runs = rng.runs if isinstance(rng, RunStreams) else None
+        self.true_component = None if mu_star is None else np.asarray(mu_star, dtype=int)
+        self.meta = MixtureMetaPosterior.from_spec(spec, self.runs)
         self._learns = kind.base in (META_TS, ADA_TS)
         self.state = None
-        self.history = None
+        self.summary = None
 
     def _point_mass(self, j):
-        log_w = np.full(self.spec.num_components, -np.inf)
-        log_w[j] = 0.0
+        shape = self.meta.log_weights.shape
+        log_w = np.full(shape, -np.inf)
+        hierarchy.flat_view(log_w)[hierarchy.flat_index(shape, j)] = 0.0
         return log_w
 
     def begin_task(self, s, m):
         if self.kind.base == ADA_TS:
             log_w = self.meta.log_weights
         elif self.kind.base == META_TS:
-            cum = np.cumsum(self.meta.weights)
-            j = min(int(np.searchsorted(cum, self.rng.random(), side="right")), cum.shape[0] - 1)
-            log_w = self._point_mass(j)
+            u = np.array([stream.random() for stream in _each_stream(self.rng)])
+            log_w = self._point_mass(hierarchy.pick_component(self.meta.weights, u))
         elif self.kind.base == ORACLE_TS:
             log_w = self._point_mass(self.true_component)
         elif self.kind.base == MISASSIGNED_TS:
-            wrong = (self.true_component + 1) % self.spec.num_components
-            log_w = self._point_mass(wrong)
+            log_w = self._point_mass((self.true_component + 1) % self.spec.num_components)
         else:  # agnostic: the prior mixture, forgotten between tasks
-            log_w = np.log(self.spec.mixture_weights)
+            log_w = np.broadcast_to(np.log(self.spec.mixture_weights),
+                                    self.meta.log_weights.shape)
         self.state = MixtureTaskState(
             log_w, self.spec.mixture_alphas, self.spec.mixture_betas
         )
-        self.history = []
+        self.summary = ArmSummary(self.spec.num_arms, self.runs)
 
     def act(self, t):
         return mixture_ts_select(self.state, self.rng)
 
     def observe(self, action, observation):
         self.state.update(action, observation)
-        self.history.append((action, observation))
+        self.summary.add(action, observation)
 
     def end_task(self):
         if self._learns:
-            self.meta = mixture_update(self.meta, self.history)
+            self.meta = mixture_update(self.meta, self.summary)

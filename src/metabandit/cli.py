@@ -80,10 +80,15 @@ def _parse_mixture(text):
 
 
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_width = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_nonnegative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+# widths are squared into covariances, so the square must be finite too
+_width = _checked(float, lambda v: v >= 0 and math.isfinite(v * v),
+                  "a number >= 0 with a finite square")
+_noise = _checked(float, lambda v: v > 0 and math.isfinite(v * v),
+                  "a number > 0 with a finite square")
 _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _level = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
-_weights = _checked(_comma_list(_width), lambda w: sum(w) > 0, "weights not all zero")
+_weights = _checked(_comma_list(_nonnegative), lambda w: sum(w) > 0, "weights not all zero")
 _mixture = _checked(str.strip, _parse_mixture,
                     "alpha:beta;alpha:beta with finite alpha, beta > 0")
 
@@ -107,7 +112,7 @@ def _build_parser():
                        help="meta-prior width(s); per-arm comma list allowed")
         p.add_argument("--sigma-0", type=_comma_list(_width), dest="sigma_0", default=(0.1,),
                        help="task-prior width(s); per-arm comma list allowed")
-        p.add_argument("--noise", type=_positive, default=1.0)
+        p.add_argument("--noise", type=_noise, default=1.0)
         p.add_argument("--tasks", type=_count, required=True)
         p.add_argument("--rounds", type=_count, required=True)
         p.add_argument("--mixture", type=_mixture,
@@ -183,6 +188,9 @@ def _validate(parser, inv):
     """Rules that join several flags; each flag's own domain is its type."""
     if inv.command == "bound" and inv.env not in (hierarchy.LINEAR, hierarchy.SEMIBANDIT):
         parser.error(f"--env {inv.env} has no regret bound; use linear or semibandit")
+    for flag in ("--arms", "--dim"):
+        if inv.command != "sweep" and len(getattr(inv, flag[2:]) or ()) > 1:
+            parser.error(f"{flag} takes one value in {inv.command}; sweep takes a list")
     size_flag = "--dim" if inv.env == hierarchy.LINEAR else "--arms"
     sizes = getattr(inv, size_flag[2:])
     if not sizes:
@@ -203,9 +211,9 @@ def _validate(parser, inv):
     elif not inv.sigma_q:
         parser.error(f"--env {inv.env} requires --sigma-q")
     else:
-        # sweep's --sigma-q lists one width per cell; run and bound use the
-        # first --arms/--dim value, sweep every one
-        cells = set(sizes if inv.command == "sweep" else sizes[:1])
+        # sweep's --sigma-q lists one width per cell and its --arms/--dim one
+        # size per cell; run and bound have a single size
+        cells = set(sizes)
         per_coordinate = {"--sigma-0": inv.sigma_0}
         if inv.command != "sweep":
             per_coordinate["--sigma-q"] = inv.sigma_q

@@ -118,8 +118,16 @@ class RngStream:
     def random(self, size=None):
         return self.gen.random(size)
 
-    def beta(self, a, b, size=None):
-        return self.gen.beta(a, b, size)
+    def beta_row(self, alphas, betas):
+        """One Beta(alpha, beta) draw per pair, as a list of floats.
+
+        The draws are scalar calls made in order.  A Beta draw uses a
+        variable amount of stream, and an array-argument call makes its draws
+        the same way, one element after another, so the bits are the same;
+        for a few pairs the scalar calls cost a fraction of the array call.
+        """
+        beta = self.gen.beta
+        return [beta(a, b) for a, b in zip(alphas, betas)]
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -128,35 +136,46 @@ class RngStream:
 class RunStreams:
     """One RngStream per run, drawn from in lockstep.
 
-    `standard_normal(size)` returns one draw of shape `size` per run, stacked
-    as (runs, *size).  The draws come from blocks of `block` draws that each
-    stream makes in one call.  A block draw consumes a stream exactly as the
-    same draws made one by one, so every run sees the numbers it would see
-    alone, however the block boundaries fall, as long as all draws from one
-    stream have one shape.  A request of another shape while a block still
-    holds draws would reorder the streams and raises ValueError.
+    `standard_normal(size)` and `random(size)` return one draw of shape
+    `size` per run, stacked as (runs, *size).  The draws come from blocks of
+    `block` draws that each stream makes in one call.  A block draw consumes
+    a stream exactly as the same draws made one by one, so every run sees the
+    numbers it would see alone, however the block boundaries fall, as long as
+    all draws from one stream have one kind and shape.  A request of another
+    kind or shape while a block still holds draws would reorder the streams
+    and raises ValueError.  Draws whose consumption varies (Beta variates)
+    cannot be blocked: take them from each of `streams` in turn.
     """
 
     def __init__(self, streams, block):
         self.streams = tuple(streams)
         self.block = int(block)
         self._drawn = ()
-        self._size = None  # the `size` the pending block was drawn for
+        self._pending = None  # (method, size) the pending block was drawn for
         self._next = 0
 
     @property
     def runs(self):
         return len(self.streams)
 
-    def standard_normal(self, size=None):
+    def _draw(self, method, size):
         if self._next == len(self._drawn):
             shape = () if size is None else tuple(np.atleast_1d(size))
             self._drawn = np.stack(
-                [s.standard_normal((self.block, *shape)) for s in self.streams], axis=1
+                [getattr(s, method)((self.block, *shape)) for s in self.streams], axis=1
             )
-            self._size = size
+            self._pending = (method, size)
             self._next = 0
-        elif size != self._size:
-            raise ValueError(f"draw of size {size} while draws of size {self._size} are pending")
+        elif (method, size) != self._pending:
+            raise ValueError(
+                f"{method} draw of size {size} while {self._pending[0]} draws "
+                f"of size {self._pending[1]} are pending"
+            )
         self._next += 1
         return self._drawn[self._next - 1]
+
+    def standard_normal(self, size=None):
+        return self._draw("standard_normal", size)
+
+    def random(self, size=None):
+        return self._draw("random", size)

@@ -2,12 +2,14 @@
 
 Every (agent, run) pair draws from its own random streams, derived from
 (seed, purpose, agent label, run index), so its output does not depend on
-which other runs or agents are simulated beside it.  A Gaussian-family agent
-plays all runs of an experiment in lockstep: its state carries a leading run
-axis and one round of every run is a few array operations (see
-agents.GaussianFamilyAgent), while each run still consumes its own streams
-exactly as it would alone.  Bernoulli-mixture agents play one run at a time,
-because their Beta draws consume a variable amount of stream.
+which other runs or agents are simulated beside it.  Every agent plays all
+runs of an experiment in lockstep: its state carries a leading run axis and
+one round of every run is a few array operations (see
+agents.GaussianFamilyAgent and agents.MixtureFamilyAgent), while each run
+still consumes its own streams exactly as it would alone.  Streams whose
+draws have a fixed size are drawn in per-task blocks; a Bernoulli-mixture
+agent's own stream is drawn run by run instead, because its Beta draws
+consume a variable amount of stream.
 
 When ``common_tasks`` is set, the task-generation stream drops the agent
 label, so every agent in a run faces the same action set, meta-parameter and
@@ -174,27 +176,23 @@ def _spanning_features(run_spec):
 
 def _run_agent(config, kind, runs, worlds):
     """Instant regret (len(runs), m, n) of one agent kind over `runs`, given
-    each run's world."""
-    spec = config.spec
-    if spec.family == hierarchy.BERNOULLI_MIXTURE:
-        rows = []
-        for run, world in zip(runs, worlds):
-            _, rewards_rng, agent_rng = _streams(config, kind.label, run)
-            agent = agents_mod.MixtureFamilyAgent(kind, world.spec, agent_rng, world.mu_star)
-            rows.append(_play(config, kind, [run], world.spec, agent, world.tasks, rewards_rng))
-        return np.concatenate(rows)
+    each run's world; one agent plays all of them in lockstep."""
 
     def lockstep(purpose):
         streams = [_stream(config, purpose, kind.label, run) for run in runs]
         return RunStreams(streams, block=config.n)
 
+    spec = config.spec
     if spec.family == hierarchy.LINEAR and spec.actions is None:
         spec = spec.with_actions(np.stack([world.spec.actions for world in worlds]))
-    exploration = None
-    if kind.base == agents_mod.ADA_TS_FORCED and spec.family == hierarchy.LINEAR:
-        exploration = np.stack([_spanning_features(world.spec) for world in worlds])
     mu_star = np.stack([world.mu_star for world in worlds])
-    agent = agents_mod.GaussianFamilyAgent(kind, spec, lockstep("agent"), mu_star, exploration)
+    if spec.family == hierarchy.BERNOULLI_MIXTURE:
+        agent = agents_mod.MixtureFamilyAgent(kind, spec, lockstep("agent"), mu_star)
+    else:
+        exploration = None
+        if kind.base == agents_mod.ADA_TS_FORCED and spec.family == hierarchy.LINEAR:
+            exploration = np.stack([_spanning_features(world.spec) for world in worlds])
+        agent = agents_mod.GaussianFamilyAgent(kind, spec, lockstep("agent"), mu_star, exploration)
     tasks = (hierarchy.stack_tasks([world.tasks[s] for world in worlds]) for s in range(config.m))
     return _play(config, kind, runs, spec, agent, tasks, lockstep("rewards"))
 

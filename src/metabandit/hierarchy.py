@@ -217,10 +217,18 @@ class TaskInstance:
 def sample_meta_parameter(spec, rng):
     """Draw mu_star from the meta-prior (a component index for mixtures)."""
     if spec.family == BERNOULLI_MIXTURE:
-        u = rng.random()
-        cum = np.cumsum(spec.mixture_weights)
-        return min(int(np.searchsorted(cum, u, side="right")), cum.shape[0] - 1)
+        return int(pick_component(spec.mixture_weights, rng.random()))
     return mvn_sample(spec.mu_q, spec.sigma_q, rng)
+
+
+def pick_component(weights, u):
+    """The component a uniform `u` selects from categorical `weights`: the
+    first whose cumulative weight exceeds `u`, or the last when rounding
+    leaves the total at or below `u`.  With a run axis on `weights` and `u`,
+    one component per run."""
+    cum = np.cumsum(weights, axis=-1)
+    picked = np.sum(cum <= np.asarray(u)[..., None], axis=-1)
+    return np.minimum(picked, cum.shape[-1] - 1)
 
 
 def top_subset(theta, budget):
@@ -234,7 +242,7 @@ def sample_task(spec, mu_star, rng):
     """Draw one task parameter from the task prior and locate its optimum."""
     if spec.family == BERNOULLI_MIXTURE:
         j = int(mu_star)
-        theta = rng.beta(spec.mixture_alphas[j], spec.mixture_betas[j])
+        theta = rng.beta_row(spec.mixture_alphas[j].tolist(), spec.mixture_betas[j].tolist())
         theta = np.clip(theta, BETA_MEAN_FLOOR, 1.0 - BETA_MEAN_FLOOR)
         best = int(np.argmax(theta))
         return TaskInstance(theta, best, float(theta[best]), theta)
@@ -357,6 +365,8 @@ def realize_reward(spec, task, action, rng):
         if spec.family == SEMIBANDIT:
             noise = rng.standard_normal(spec.budget)
             return _per_run(task.theta, action) + spec.noise_sigma * noise
+        if spec.family == BERNOULLI_MIXTURE:
+            return (rng.random() < _per_run(task.theta, action)).astype(float)
         mean = _stacked_mean_reward(spec, task, action)
         return mean + spec.noise_sigma * rng.standard_normal()
     if spec.family == BERNOULLI_MIXTURE:

@@ -620,15 +620,23 @@ def mixture_spec(num_arms=1):
     return hierarchy.mixture_env(num_arms, alphas=alphas, betas=betas)
 
 
+def outcomes(history, num_arms=1):
+    """The ArmSummary of (arm, outcome) pairs that mixture_update takes."""
+    summary = agents.ArmSummary(num_arms)
+    for arm, outcome in history:
+        summary.add(arm, outcome)
+    return summary
+
+
 def test_mixture_update_empty_history_identity():
     meta = agents.MixtureMetaPosterior.from_spec(mixture_spec())
-    out = agents.mixture_update(meta, [])
+    out = agents.mixture_update(meta, outcomes([]))
     assert np.allclose(out.weights, meta.weights)
 
 
 def test_mixture_update_matches_marginal_likelihood():
     meta = agents.MixtureMetaPosterior.from_spec(mixture_spec())
-    out = agents.mixture_update(meta, [(0, 1)] * 10)
+    out = agents.mixture_update(meta, outcomes([(0, 1)] * 10))
     # marginal of ten straight successes under Beta(a, b):
     # prod_{r<10} (a + r) / (a + b + r)
     def marginal(a, b):
@@ -646,7 +654,7 @@ def test_mixture_update_matches_marginal_likelihood():
 def test_mixture_update_symmetric_components_stay_even():
     spec = hierarchy.mixture_env(2, alphas=[[2, 2], [2, 2]], betas=[[3, 3], [3, 3]])
     meta = agents.MixtureMetaPosterior.from_spec(spec)
-    out = agents.mixture_update(meta, [(0, 1), (1, 0), (0, 0)])
+    out = agents.mixture_update(meta, outcomes([(0, 1), (1, 0), (0, 0)], 2))
     assert np.allclose(out.weights, [0.5, 0.5], atol=1e-12)
 
 
@@ -658,7 +666,7 @@ def test_within_task_weights_match_end_of_task_marginals():
     state = agents.MixtureTaskState(meta.log_weights, meta.alphas, meta.betas)
     for arm, outcome in history:
         state.update(arm, outcome)
-    end = agents.mixture_update(meta, history)
+    end = agents.mixture_update(meta, outcomes(history, 2))
     assert np.allclose(np.exp(state.log_weights), end.weights, atol=1e-12)
 
 
@@ -710,7 +718,7 @@ def test_true_component_weight_grows_with_task_length():
                 (arm, hierarchy.realize_reward(spec, task, arm, rng))
                 for arm in np.arange(n) % 2
             ]
-            meta = agents.mixture_update(meta, [(int(a), y) for a, y in history])
+            meta = agents.mixture_update(meta, outcomes([(int(a), y) for a, y in history], 2))
             final.append(meta.weights[0])
         means[n] = np.mean(final)
     assert means[5] < means[20] < means[80]
@@ -728,6 +736,36 @@ def test_mixture_agent_kinds_pin_expected_components():
     assert np.allclose(np.exp(wrong.state.log_weights), [1.0, 0.0])
     with pytest.raises(agents.UnknownAgent):
         agents.MixtureFamilyAgent(agents.AgentKind("ada-ts-forced"), spec, rng)
+
+
+def test_lockstep_mixture_observe_rejects_non_bernoulli_outcomes():
+    spec = mixture_spec(num_arms=2)
+    rng = RunStreams([RngStream(8, r) for r in range(3)], block=4)
+    agent = agents.MixtureFamilyAgent(agents.AgentKind("ada-ts"), spec, rng, np.zeros(3, int))
+    agent.begin_task(1, 5)
+    arms = agent.act(1)
+    assert arms.shape == (3,)
+    with pytest.raises(ValueError, match="0 or 1"):
+        agent.observe(arms, np.array([1.0, 0.5, 0.0]))
+    with pytest.raises(ValueError, match="0 or 1"):
+        agent.observe(arms, np.array([1.0, np.nan, 0.0]))
+    agent.observe(arms, np.array([1.0, 0.0, 0.0]))
+
+
+def test_component_pick_clamps_to_the_last_component():
+    """Per run, the pick is searchsorted(cumsum(weights), u, 'right') clamped
+    to C - 1: a uniform at or above the last cumulative weight, which
+    rounding can leave below one, picks the last component."""
+    weights = np.array([[0.1] * 10, [0.5, 0.5, 0.0] + [0.0] * 7])
+    assert np.cumsum(weights[0])[-1] < 1.0
+    last = np.cumsum(weights, axis=1)[:, -1]
+    assert np.array_equal(hierarchy.pick_component(weights, last), [9, 9])
+    assert np.array_equal(hierarchy.pick_component(weights, np.nextafter(last, 2.0)), [9, 9])
+    for u in np.linspace(0.0, 1.0, 41):
+        expected = [min(int(np.searchsorted(np.cumsum(w), u, side="right")), 9)
+                    for w in weights]
+        assert np.array_equal(hierarchy.pick_component(weights, np.full(2, u)), expected)
+        assert hierarchy.pick_component(weights[0], u) == expected[0]
 
 
 @pytest.mark.parametrize("name", ["ada-ts+", "ada-ts-"])

@@ -65,7 +65,9 @@ LINEAR_FLAGS = {"--env": "linear", "--dim": "2", "--arms": "10", "--sigma-q": "1
 BAD_INPUTS = [
     ("--sigma-q", "nan"), ("--sigma-q", "inf"), ("--sigma-q", "-0.5"),
     ("--sigma-0", "nan"), ("--sigma-0", "inf"), ("--sigma-0", "-0.1"),
+    ("--sigma-q", "1e200"), ("--sigma-0", "1e200"),  # finite, but the square is not
     ("--noise", "nan"), ("--noise", "inf"), ("--noise", "0"), ("--noise", "-1"),
+    ("--noise", "1e200"),
     ("--tasks", "0"), ("--rounds", "0"), ("--runs", "0"),
     ("--budget", "11"),
     ("--arms", "0"), ("--dim", "0"),
@@ -147,6 +149,23 @@ def test_bound_invalid_input_exits_2(capsys, flag, value):
         argv += ["--arms", "2", "--mixture", "9:1;1:9"]
     assert cli.main(argv) == 2
     assert flag in capsys.readouterr().err.partition("error:")[2]
+
+
+@pytest.mark.parametrize("flag,value", [("--arms", "2,4"), ("--dim", "2,3")])
+@pytest.mark.parametrize("command", ["run", "bound"])
+def test_size_list_outside_sweep_exits_2_and_writes_nothing(tmp_path, capsys, command,
+                                                            flag, value):
+    """run and bound take one --arms/--dim; a list is refused, not cut to its
+    first value."""
+    out = tmp_path / "out.csv"
+    if command == "run":
+        argv = run_argv(out=str(out), **dict(LINEAR_FLAGS, **{
+            "--tasks": "2", "--rounds": "3", "--runs": "2", flag: value}))
+    else:
+        argv = BOUND_ARGV + [flag, value]
+    assert cli.main(argv) == 2
+    assert flag in capsys.readouterr().err.partition("error:")[2]
+    assert not out.exists()
 
 
 def test_semibandit_budget_above_arms_exits_2(capsys):

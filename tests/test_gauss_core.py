@@ -230,6 +230,45 @@ def test_run_streams_refuse_a_new_shape_while_draws_are_pending():
     assert streams.standard_normal(3).shape == (2, 3)  # block used up: any shape
 
 
+def test_run_streams_block_draw_uniforms_as_each_run_would_alone():
+    ids = [4, 9, 1]
+    streams = gc.RunStreams([gc.RngStream(7, i) for i in ids], block=5)
+    drawn = np.array([streams.random() for _ in range(12)])  # crosses blocks
+    assert drawn.shape == (12, 3)
+    for run, stream_id in enumerate(ids):
+        solo = gc.RngStream(7, stream_id)
+        assert np.array_equal(drawn[:, run], [solo.random() for _ in range(12)])
+    pairs = gc.RunStreams([gc.RngStream(7, i) for i in ids], block=4)
+    drawn = np.array([pairs.random(2) for _ in range(6)])
+    solo = gc.RngStream(7, ids[1])
+    assert np.array_equal(drawn[:, 1], [solo.random(2) for _ in range(6)])
+
+
+def test_run_streams_refuse_another_kind_while_draws_are_pending():
+    streams = gc.RunStreams([gc.RngStream(7, 0), gc.RngStream(7, 1)], block=3)
+    streams.standard_normal()
+    with pytest.raises(ValueError, match="random draw"):
+        streams.random()
+    streams.standard_normal()
+    streams.standard_normal()
+    streams.random()  # block used up: any kind
+    with pytest.raises(ValueError, match="standard_normal draw"):
+        streams.standard_normal()
+
+
+def test_beta_row_draws_the_bits_of_one_array_call():
+    """Scalar Beta draws consume a stream as one array-argument call does,
+    in both of numpy's Beta algorithms (a, b <= 1, and otherwise)."""
+    alphas = [9.0, 0.5, 1.0, 2.5, 0.3]
+    betas = [1.0, 0.7, 9.0, 0.5, 0.9]
+    for stream_id in range(50):
+        rows = gc.RngStream(5, stream_id)
+        whole = gc.RngStream(5, stream_id)
+        for _ in range(4):
+            assert np.array_equal(rows.beta_row(alphas, betas), whole.gen.beta(alphas, betas))
+        assert rows.random() == whole.random()
+
+
 def test_mvn_sample_stack_matches_each_run():
     rng = np.random.default_rng(10)
     covs = np.stack([random_spd(rng, 3) for _ in range(4)])

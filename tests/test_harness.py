@@ -174,6 +174,62 @@ def test_engine_reproduces_pinned_traces(name, common_tasks):
     assert h.hexdigest() == ENGINE_DIGESTS[(name, common_tasks)]
 
 
+def _replay_mixture_run(config, kind, run):
+    """One run played by a one-run MixtureFamilyAgent from the run's own
+    streams, as criterion 7's fixture does: (instant regret, final meta)."""
+    spec = config.spec
+    tasks_rng, rewards_rng, agent_rng = harness._streams(config, kind.label, run)
+    component = hierarchy.sample_meta_parameter(spec, tasks_rng)
+    tasks = [hierarchy.sample_task(spec, component, tasks_rng) for _ in range(config.m)]
+    agent = agents.MixtureFamilyAgent(kind, spec, agent_rng, component)
+    instant = np.zeros((config.m, config.n))
+    for s, task in enumerate(tasks, start=1):
+        agent.begin_task(s, config.m)
+        for t in range(1, config.n + 1):
+            action = agent.act(t)
+            assert isinstance(action, int)
+            reward = hierarchy.realize_reward(spec, task, action, rewards_rng)
+            instant[s - 1, t - 1] = hierarchy.instant_regret(spec, task, action)
+            agent.observe(action, reward)
+        agent.end_task()
+    return instant, agent.meta
+
+
+@pytest.mark.parametrize("common_tasks", [True, False])
+def test_lockstep_mixture_agents_replay_as_one_run_agents(monkeypatch, common_tasks):
+    """Every run of the lockstep mixture engine is what a one-run agent
+    plays from that run's streams, bit for bit, with three components of
+    unequal weight; one of them has Beta parameters <= 1, where numpy draws
+    Beta variates by another algorithm."""
+    built = []
+
+    class Recorded(agents.MixtureFamilyAgent):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(agents, "MixtureFamilyAgent", Recorded)
+    spec = hierarchy.mixture_env(
+        4,
+        alphas=[[9, 1, 1, 1], [1, 9, 1, 1], [0.5, 0.8, 2, 6]],
+        betas=[[1, 9, 9, 9], [9, 1, 9, 9], [0.5, 0.9, 2, 1]],
+        weights=[0.5, 0.3, 0.2],
+    )
+    config = small_config(agent_names=MIXTURE_KINDS, spec=spec, runs=5, m=4, n=9,
+                          seed=23, common_tasks=common_tasks)
+    trace = harness.run_experiment(config)
+    lockstep = {agent.kind.label: agent for agent in built}
+    assert all(agent.runs == config.runs for agent in built)
+    monkeypatch.undo()
+    for kind in config.agents:
+        for run in range(config.runs):
+            instant, meta = _replay_mixture_run(config, kind, run)
+            assert trace.instant[kind.label][run].tobytes() == instant.tobytes()
+            if kind.label == "ada-ts":
+                whole = lockstep["ada-ts"].meta.weights[run]
+                assert whole.tobytes() == meta.weights.tobytes()
+
+
 def test_cumulative_is_monotone_and_flattened():
     config = small_config()
     trace = harness.run_experiment(config)
