@@ -16,11 +16,11 @@ into a meta-posterior over the task-prior mean (Gaussian families) or over
 the mixture component (Bernoulli mixture family).
 
 The state of every family (posteriors, meta-posteriors, sufficient
-statistics) works with or without a leading run axis, so one agent can play
-many independent runs in lockstep; see GaussianFamilyAgent and
-MixtureFamilyAgent.  Each run still draws from its own stream: Gaussian draws
-come in blocks (gauss_core.RunStreams), while a mixture agent's draws are
-made run by run, because a Beta draw uses a variable amount of stream.
+statistics) has a leading shape `lead`: (runs,) for many runs in lockstep,
+and () for one run, which is the same code on a stack of one run.  Each run
+still draws from its own stream: Gaussian draws come in blocks
+(gauss_core.RunStreams), while a mixture agent's draws are made run by run,
+because a Beta draw uses a variable amount of stream.
 """
 
 from dataclasses import dataclass, replace
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import betaln
 
 from . import hierarchy
-from .gauss_core import RunStreams, dot, matvec, mvn_sample, symmetrize
+from .gauss_core import dot, matvec, mvn_sample, symmetrize
 # Not used here: the benchmark's tracer wraps these names in this module and
 # checks that a linear round calls neither.
 from .gauss_core import solve_spd, spd_inverse  # noqa: F401
@@ -147,10 +147,9 @@ class FullMetaPosterior:
         return mvn_sample(self.mean, self.cov, rng)
 
 
-def initial_meta_posterior(spec, runs=None):
-    """Meta-posterior before any task: the meta-prior itself, repeated for
-    each of `runs` runs when given."""
-    lead = () if runs is None else (runs,)
+def initial_meta_posterior(spec, lead=()):
+    """Meta-posterior before any task: the meta-prior itself, repeated over
+    the leading shape `lead`."""
     mean = np.broadcast_to(spec.mu_q, lead + spec.mu_q.shape)
     if spec.family == hierarchy.LINEAR:
         return FullMetaPosterior(mean, np.broadcast_to(spec.sigma_q, lead + spec.sigma_q.shape))
@@ -221,13 +220,13 @@ def end_task_linear(meta, summary, spec):
 
 
 class ArmSummary:
-    """Pull counts and reward sums per arm for one task (per run, as
-    (runs, num_arms) arrays, when `runs` is given)."""
+    """Pull counts and reward sums per arm for one task, as `lead` +
+    (num_arms,) arrays."""
 
     __slots__ = ("counts", "sums")
 
-    def __init__(self, num_arms, runs=None):
-        shape = (num_arms,) if runs is None else (runs, num_arms)
+    def __init__(self, num_arms, lead=()):
+        shape = lead + (num_arms,)
         self.counts = np.zeros(shape, dtype=int)
         self.sums = np.zeros(shape)
 
@@ -241,13 +240,12 @@ class ArmSummary:
 
 
 class LinearSummary:
-    """Gram matrix and reward-weighted feature sum for one task (per run
-    when `runs` is given)."""
+    """Gram matrix and reward-weighted feature sum for one task, with the
+    leading shape `lead`."""
 
     __slots__ = ("gram", "weighted")
 
-    def __init__(self, dim, runs=None):
-        lead = () if runs is None else (runs,)
+    def __init__(self, dim, lead=()):
         self.gram = np.zeros(lead + (dim, dim))
         self.weighted = np.zeros(lead + (dim,))
 
@@ -353,8 +351,8 @@ def ts_select(posterior, actions, rng):
 
     ``actions`` is the arm count (int), the feature matrix (linear, with a
     leading run axis when each run has its own), or a (num_arms, budget) pair
-    (semibandit).  Ties go to the lowest index.  A posterior with a run axis
-    gives one action per run: an int array, or (runs, budget) for subsets.
+    (semibandit).  Ties go to the lowest index.  Per run of the posterior's
+    leading shape, the action is an index or a sorted int array of arms.
     """
     theta = posterior.sample(rng)
     if isinstance(actions, tuple):
@@ -362,27 +360,22 @@ def ts_select(posterior, actions, rng):
         return hierarchy.top_subset(theta, budget)
     if not isinstance(actions, (int, np.integer)):
         theta = matvec(np.asarray(actions), theta)
-    best = np.argmax(theta, axis=-1)
-    return int(best) if best.ndim == 0 else best
+    return np.argmax(theta, axis=-1)
 
 
 def update_task_posterior(posterior, action, observation, noise_sigma):
     """Pure-functional conjugate update; returns a new posterior.
 
-    The action/observation pairing follows the family: (arm, float) for
-    K-armed, (feature vector, float) for linear, (subset, {arm: float}) for
-    semibandit feedback.
+    The action/observation pairing follows the family: (arm, reward) for
+    K-armed, (feature vector, reward) for linear, (int array of distinct
+    arms, array of their rewards) for semibandit; per run with a run axis.
     """
     out = posterior.copy()
     noise_var = noise_sigma**2
     if isinstance(out, FullTaskPosterior):
         out.update_feature(np.asarray(action, dtype=float), observation, noise_var)
-        return out
-    if isinstance(observation, dict):
-        for arm, reward in observation.items():
-            out.update_arm(arm, reward, noise_var)
-        return out
-    out.update_arm(int(action), float(observation), noise_var)
+    else:
+        out.update_arm(action, observation, noise_var)
     return out
 
 
@@ -485,14 +478,15 @@ def _normalize_log_weights(log_w):
     return log_w - (top + np.log(np.sum(np.exp(log_w - top), axis=-1, keepdims=True)))
 
 
-def _each_stream(rng):
-    """The streams of a RunStreams, or a lone RngStream as a one-run tuple."""
-    return rng.streams if isinstance(rng, RunStreams) else (rng,)
+def _log_weights(weights):
+    """Log of mixture weights; a zero weight is -inf, without a warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(weights)
 
 
 class MixtureMetaPosterior:
-    """Categorical belief over which mixture component generates the tasks
-    (one belief per run, as (runs, C) log-weights, when `runs` is given)."""
+    """Categorical belief over which mixture component generates the tasks,
+    as `lead` + (C,) log-weights: one belief per run."""
 
     __slots__ = ("log_weights", "alphas", "betas")
 
@@ -502,10 +496,9 @@ class MixtureMetaPosterior:
         self.betas = np.asarray(betas, dtype=float)
 
     @classmethod
-    def from_spec(cls, spec, runs=None):
-        log_w = np.log(spec.mixture_weights)
-        if runs is not None:
-            log_w = np.broadcast_to(log_w, (runs,) + log_w.shape)
+    def from_spec(cls, spec, lead=()):
+        log_w = _log_weights(spec.mixture_weights)
+        log_w = np.broadcast_to(log_w, lead + log_w.shape)
         return cls(log_w, spec.mixture_alphas, spec.mixture_betas)
 
     @property
@@ -569,12 +562,12 @@ def mixture_ts_select(state, rng):
     """Sample a component, then arm means from its Beta posteriors, and play
     the greedy arm; ties to the lowest index.
 
-    With a run axis on `state`, `rng` is a RunStreams and the result holds
-    one arm per run.  Each run's stream gives one `random()`, then one scalar
-    Beta draw per arm, as it would alone: Beta draws use a variable amount
-    of stream, so they cannot be drawn in blocks.
+    The result holds one arm per run of the leading shape of `state`, whose
+    runs are the streams of `rng`.  Each run's stream gives one `random()`,
+    then one scalar Beta draw per arm, as it would alone: Beta draws use a
+    variable amount of stream, so they cannot be drawn in blocks.
     """
-    streams = _each_stream(rng)
+    streams = rng.streams
     u = np.array([stream.random() for stream in streams])
     log_w = state.log_weights.reshape(len(streams), -1)
     rows = hierarchy.flat_index(log_w.shape, hierarchy.pick_component(np.exp(log_w), u))
@@ -582,8 +575,7 @@ def mixture_ts_select(state, rng):
     alphas = state.alphas.reshape(-1, num_arms)[rows].tolist()
     betas = state.betas.reshape(-1, num_arms)[rows].tolist()
     theta = [stream.beta_row(a, b) for stream, a, b in zip(streams, alphas, betas)]
-    best = np.argmax(theta, axis=-1)
-    return int(best[0]) if state.log_weights.ndim == 1 else best
+    return np.argmax(np.reshape(theta, state.alphas.shape[:-2] + (num_arms,)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +586,14 @@ def mixture_ts_select(state, rng):
 class GaussianFamilyAgent:
     """One policy's state across a run of tasks (Gaussian reward families).
 
-    Built with an RngStream the agent plays one run: `act` returns an arm, a
-    subset tuple or a linear action (index or feature vector) and the state
-    has no run axis.  Built with a RunStreams it plays that object's R runs
-    in lockstep: `mu_star`, `exploration_actions` and, when each run has its
-    own, the linear action set carry a leading run axis, so does all state,
-    and `act` returns one action per run (arms (R,), subsets (R, budget),
-    linear indices (R,) or forced-exploration feature vectors (R, dim)).
-    Each run consumes its own stream exactly as it would alone.
+    The agent plays the runs of `rng` in lockstep with the leading shape
+    `lead` = `rng.lead`: (R,) for a RunStreams of R runs, () for an
+    RngStream.  `mu_star`, all state and, when each run has its own, the
+    linear action set have that leading shape; so has each action of `act`:
+    an arm, a sorted int array of arms, a linear index or a raw feature
+    vector (forced exploration).  A linear `exploration_actions` is
+    (rounds,) + lead + (dim,).  `observe` takes an action and its reward, or the array
+    of its arms' rewards.  Each run uses its own stream as it would alone.
     """
 
     def __init__(self, kind, spec, rng, mu_star=None, exploration_actions=None):
@@ -609,14 +601,11 @@ class GaussianFamilyAgent:
         self.kind = kind
         self.spec = scale_meta_prior(spec, kind.scale) if kind.scale != 1.0 else spec
         self.rng = rng
-        self.runs = rng.runs if isinstance(rng, RunStreams) else None
+        self.lead = rng.lead
         self.mu_star = mu_star
-        self.meta = initial_meta_posterior(self.spec, self.runs)
+        self.meta = initial_meta_posterior(self.spec, self.lead)
         self.noise_var = spec.noise_sigma**2
         self._learns = kind.base in (META_TS, ADA_TS, ADA_TS_FORCED)
-        if self.runs is not None and exploration_actions is not None:
-            # forced_exploration_plan lists the plan's rounds along axis 0
-            exploration_actions = np.swapaxes(exploration_actions, 0, 1)
         self.exploration_actions = exploration_actions
         if spec.family == hierarchy.LINEAR:
             self._actions = spec.actions
@@ -627,7 +616,7 @@ class GaussianFamilyAgent:
         else:
             self._actions = spec.num_arms
             per_run = ()
-        self._plan_shape = None if self.runs is None else (self.runs,) + per_run
+        self._plan_shape = self.lead + per_run
         self.post = None
         self.summary = None
         self.plan = []
@@ -635,14 +624,13 @@ class GaussianFamilyAgent:
     def begin_task(self, s, m):
         self.post = begin_task(self.kind, self.meta, self.spec, self.rng, self.mu_star)
         if self.spec.family == hierarchy.LINEAR:
-            self.summary = LinearSummary(self.spec.dim, self.runs)
+            self.summary = LinearSummary(self.spec.dim, self.lead)
         else:
-            self.summary = ArmSummary(self.spec.num_arms, self.runs)
+            self.summary = ArmSummary(self.spec.num_arms, self.lead)
         self.plan = []
         if self.kind.base == ADA_TS_FORCED:
-            self.plan = forced_exploration_plan(s, m, self.spec, self.exploration_actions)
-            if self.runs is not None:
-                self.plan = [np.broadcast_to(a, self._plan_shape) for a in self.plan]
+            plan = forced_exploration_plan(s, m, self.spec, self.exploration_actions)
+            self.plan = [np.broadcast_to(a, self._plan_shape) for a in plan]
 
     def act(self, t):
         if t <= len(self.plan):
@@ -655,9 +643,6 @@ class GaussianFamilyAgent:
             self.post.update_feature(feature, observation, self.noise_var)
             self.summary.add(feature, observation)
             return
-        if isinstance(observation, dict):  # one semibandit round, {arm: reward}
-            action = np.array(list(observation))
-            observation = np.array(list(observation.values()))
         self.post.update_arm(action, observation, self.noise_var)
         self.summary.add(action, observation)
 
@@ -678,12 +663,12 @@ class MixtureFamilyAgent:
     ``misassigned-ts`` pins a wrong one; plain ``ts`` restarts from the prior
     weights every task.
 
-    Built with an RngStream the agent plays one run and `act` returns an
-    arm.  Built with a RunStreams it plays that object's R runs in lockstep,
-    as GaussianFamilyAgent does: `mu_star` holds each run's component, the
-    component log-weights are (R, C), the Beta tables (R, C, K), and `act`
-    returns one arm per run.  Only the agent's draws are made run by run,
-    from each run's own stream in the order it would use alone.
+    The agent plays the runs of `rng` in lockstep with the leading shape
+    `lead` = `rng.lead`, as GaussianFamilyAgent does: `mu_star` holds each
+    run's component, the component log-weights are lead + (C,), the Beta
+    tables lead + (C, K), and `act` returns one arm per run.  Only the
+    agent's draws are made run by run, from each run's own stream in the
+    order it would use alone.
     """
 
     def __init__(self, kind, spec, rng, mu_star=None):
@@ -691,9 +676,9 @@ class MixtureFamilyAgent:
         self.kind = kind
         self.spec = spec
         self.rng = rng
-        self.runs = rng.runs if isinstance(rng, RunStreams) else None
+        self.lead = rng.lead
         self.true_component = None if mu_star is None else np.asarray(mu_star, dtype=int)
-        self.meta = MixtureMetaPosterior.from_spec(spec, self.runs)
+        self.meta = MixtureMetaPosterior.from_spec(spec, self.lead)
         self._learns = kind.base in (META_TS, ADA_TS)
         self.state = None
         self.summary = None
@@ -708,19 +693,19 @@ class MixtureFamilyAgent:
         if self.kind.base == ADA_TS:
             log_w = self.meta.log_weights
         elif self.kind.base == META_TS:
-            u = np.array([stream.random() for stream in _each_stream(self.rng)])
+            u = np.reshape([stream.random() for stream in self.rng.streams], self.lead)
             log_w = self._point_mass(hierarchy.pick_component(self.meta.weights, u))
         elif self.kind.base == ORACLE_TS:
             log_w = self._point_mass(self.true_component)
         elif self.kind.base == MISASSIGNED_TS:
             log_w = self._point_mass((self.true_component + 1) % self.spec.num_components)
         else:  # agnostic: the prior mixture, forgotten between tasks
-            log_w = np.broadcast_to(np.log(self.spec.mixture_weights),
+            log_w = np.broadcast_to(_log_weights(self.spec.mixture_weights),
                                     self.meta.log_weights.shape)
         self.state = MixtureTaskState(
             log_w, self.spec.mixture_alphas, self.spec.mixture_betas
         )
-        self.summary = ArmSummary(self.spec.num_arms, self.runs)
+        self.summary = ArmSummary(self.spec.num_arms, self.lead)
 
     def act(self, t):
         return mixture_ts_select(self.state, self.rng)

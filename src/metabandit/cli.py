@@ -202,6 +202,8 @@ def _validate(parser, inv):
     if inv.env == hierarchy.BERNOULLI_MIXTURE:
         if inv.mixture is None:
             parser.error("--env bernoulli-mixture requires --mixture")
+        if inv.sigma_q:
+            parser.error("--sigma-q does not apply to --env bernoulli-mixture")
         components = len(_parse_mixture(inv.mixture)[0])
         if inv.mixture_weights and len(inv.mixture_weights) != components:
             parser.error(

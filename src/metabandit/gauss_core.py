@@ -94,10 +94,13 @@ class RngStream:
     Streams with distinct ids are statistically independent, and the same
     (seed, stream_id) pair reproduces the identical draw sequence on any
     machine, so a run gives the same output whether it is played alone or
-    in lockstep with others.
+    in lockstep with others.  It serves as a RunStreams of one run without
+    a run axis: its `streams` are itself and its `lead` shape is ().
     """
 
     MASK = (1 << 64) - 1
+    lead = ()
+    streams = property(lambda self: (self,))
 
     def __init__(self, seed, stream_id=0):
         self.seed = int(seed) & self.MASK
@@ -144,11 +147,13 @@ class RunStreams:
     all draws from one stream have one kind and shape.  A request of another
     kind or shape while a block still holds draws would reorder the streams
     and raises ValueError.  Draws whose consumption varies (Beta variates)
-    cannot be blocked: take them from each of `streams` in turn.
+    cannot be blocked: take them from each of `streams` in turn.  `lead` is
+    the leading shape, (runs,), of state played from it.
     """
 
     def __init__(self, streams, block):
         self.streams = tuple(streams)
+        self.lead = (len(self.streams),)
         self.block = int(block)
         self._drawn = ()
         self._pending = None  # (method, size) the pending block was drawn for

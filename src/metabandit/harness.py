@@ -146,19 +146,22 @@ def _play(config, kind, runs, spec, agent, tasks, rewards):
     """Play the task sequence; instant regret (len(runs), m, n).
 
     `agent`, `tasks` and `rewards` cover all of `runs` at once, with a run
-    axis, or a single run without one.
+    axis.  A float overflow or invalid operation fails the run instead of
+    reaching its regret; a failure in task set-up names round 0.
     """
     instant = np.zeros((len(runs), config.m, config.n))
     s = t = 0
     try:
-        for s, task in enumerate(tasks, start=1):
-            agent.begin_task(s, config.m)
-            for t in range(1, config.n + 1):
-                action = agent.act(t)
-                observation = hierarchy.realize_reward(spec, task, action, rewards)
-                instant[:, s - 1, t - 1] = hierarchy.instant_regret(spec, task, action)
-                agent.observe(action, observation)
-            agent.end_task()
+        with np.errstate(over="raise", invalid="raise"):
+            for s, task in enumerate(tasks, start=1):
+                t = 0
+                agent.begin_task(s, config.m)
+                for t in range(1, config.n + 1):
+                    action = agent.act(t)
+                    observation = hierarchy.realize_reward(spec, task, action, rewards)
+                    instant[:, s - 1, t - 1] = hierarchy.instant_regret(spec, task, action)
+                    agent.observe(action, observation)
+                agent.end_task()
     except Exception as err:
         where = runs[0] if len(runs) == 1 else f"{runs[0]}..{runs[-1]}"
         raise RuntimeError(
@@ -191,7 +194,7 @@ def _run_agent(config, kind, runs, worlds):
     else:
         exploration = None
         if kind.base == agents_mod.ADA_TS_FORCED and spec.family == hierarchy.LINEAR:
-            exploration = np.stack([_spanning_features(world.spec) for world in worlds])
+            exploration = np.stack([_spanning_features(world.spec) for world in worlds], axis=1)
         agent = agents_mod.GaussianFamilyAgent(kind, spec, lockstep("agent"), mu_star, exploration)
     tasks = (hierarchy.stack_tasks([world.tasks[s] for world in worlds]) for s in range(config.m))
     return _play(config, kind, runs, spec, agent, tasks, lockstep("rewards"))

@@ -12,6 +12,8 @@ rewards are noisy observations of theta.  Four families share this structure:
 """
 
 from dataclasses import dataclass, replace
+import math
+
 import numpy as np
 
 from .gauss_core import dot, mvn_sample, symmetrize
@@ -203,7 +205,7 @@ class TaskInstance:
     """One sampled task: parameter, best action, and its mean reward.
 
     ``means`` holds the mean reward of each arm, or of each row of a linear
-    action set, exactly as ``mean_reward`` computes it.  ``stack_tasks``
+    action set, which linear rewards and regret read back.  ``stack_tasks``
     builds the same record with a leading run axis on every field: one task
     per run, for agents that play all runs in lockstep.
     """
@@ -232,10 +234,9 @@ def pick_component(weights, u):
 
 
 def top_subset(theta, budget):
-    """Indices of the `budget` largest entries, ties to the lowest index, in
-    ascending order: a tuple, or per run an array (runs, budget)."""
-    top = np.sort(np.argsort(-theta, axis=-1, kind="stable")[..., :budget], axis=-1)
-    return tuple(int(k) for k in top) if top.ndim == 1 else top
+    """Indices of the `budget` largest entries, ties to the lowest index, as
+    a sorted int array (budget,), or per run (runs, budget)."""
+    return np.sort(np.argsort(-theta, axis=-1, kind="stable")[..., :budget], axis=-1)
 
 
 def sample_task(spec, mu_star, rng):
@@ -248,14 +249,14 @@ def sample_task(spec, mu_star, rng):
         return TaskInstance(theta, best, float(theta[best]), theta)
     theta = mvn_sample(mu_star, spec.sigma_0, rng)
     if spec.family == LINEAR:
-        # score each row exactly as mean_reward does, so the recorded optimum
-        # is the float max of the per-action means and regret is never < 0
+        # the recorded optimum is the float max of these per-action means,
+        # which regret reads back, so regret is never < 0
         scores = np.array([float(a @ theta) for a in spec.actions])
         best = int(np.argmax(scores))
         return TaskInstance(theta, best, float(scores[best]), scores)
     if spec.family == SEMIBANDIT:
         subset = top_subset(theta, spec.budget)
-        return TaskInstance(theta, subset, float(theta[list(subset)].sum()), theta)
+        return TaskInstance(theta, subset, float(theta[subset].sum()), theta)
     best = int(np.argmax(theta))
     return TaskInstance(theta, best, float(theta[best]), theta)
 
@@ -271,38 +272,42 @@ def stack_tasks(tasks):
 
 
 def _check_arm(spec, arm):
-    if not isinstance(arm, (int, np.integer)) or not 0 <= arm < spec.num_arms:
+    if np.ndim(arm) or np.asarray(arm).dtype.kind not in "iu" or not 0 <= arm < spec.num_arms:
         raise InvalidAction(f"arm {arm!r} not in [0, {spec.num_arms})")
 
 
 def linear_feature(spec, action):
-    """Linear actions are indices into the action set; raw feature vectors
-    are also accepted so forced-exploration fallbacks can be played.
-
-    An integer array holds one index per run and a (runs, dim) float array
-    one feature vector per run; either returns (runs, dim) features.
-    """
-    if isinstance(action, (int, np.integer)):
-        if not 0 <= action < spec.actions.shape[-2]:
-            raise InvalidAction(f"action index {action} out of range")
-        return spec.actions[int(action)]
-    if isinstance(action, np.ndarray) and action.dtype.kind in "iu":
-        if spec.actions.ndim == 2:
-            return spec.actions[action]
-        return spec.actions[np.arange(action.shape[0]), action]
-    vec = np.asarray(action, dtype=float)
-    if vec.shape[-1:] != (spec.dim,):
-        raise InvalidAction(f"feature vector shape {vec.shape} != ({spec.dim},)")
-    return vec
+    """Feature vectors of linear actions: an index into the action set, or
+    one index per run, gives its row (per run); a raw feature vector, which
+    forced-exploration fallbacks play, is returned as is."""
+    action = np.asarray(action)
+    if action.dtype.kind == "f":
+        return action
+    if spec.actions.ndim == 2:
+        return spec.actions[action]
+    return spec.actions[np.arange(action.shape[0]), action]
 
 
-def _check_subset(spec, action):
-    arms = tuple(sorted(action))
-    if len(arms) != spec.budget or len(set(arms)) != len(arms):
-        raise InvalidAction(f"subset {action!r} must hold {spec.budget} distinct arms")
+def _check_subset(spec, arms):
+    if arms.shape != (spec.budget,) or len(set(arms.tolist())) != spec.budget:
+        raise InvalidAction(f"subset {arms!r} must hold {spec.budget} distinct arms")
     for k in arms:
         _check_arm(spec, k)
-    return arms
+    return np.sort(arms)
+
+
+def _one_run(spec, task, action):
+    """A one-run call's task and action as a stack of one run (see
+    `stack_tasks`).  The action is checked first; a semibandit subset is
+    stacked sorted, as agents play it."""
+    action = np.asarray(action)
+    if spec.family == SEMIBANDIT:
+        action = _check_subset(spec, action)
+    elif spec.family != LINEAR or action.dtype.kind != "f":
+        _check_arm(spec, action)
+    elif action.shape != (spec.dim,):
+        raise InvalidAction(f"feature vector shape {action.shape} != ({spec.dim},)")
+    return stack_tasks([task]), action[None]
 
 
 def flat_view(table):
@@ -314,15 +319,12 @@ def flat_view(table):
 
 def flat_index(shape, index):
     """Where the entries that `index` names sit in `flat_view` of an array of
-    `shape`.  Without a run axis that is `index` itself; with one, `index`
-    names one entry (runs,), or a row of entries (runs, k), in each run's
-    row.  Indexing a flat view is several times cheaper than indexing by
-    (rows, index)."""
-    if len(shape) == 1:
-        return index
-    runs, width = shape
-    offsets = np.arange(0, runs * width, width)
-    return (offsets[:, None] if np.ndim(index) == 2 else offsets) + index
+    `shape`: `index` names one entry, or a row of entries (trailing axis k),
+    in each row along the last axis of `shape`.  Indexing a flat view is
+    several times cheaper than indexing by (rows, index)."""
+    lead = shape[:-1]
+    offsets = np.arange(0, math.prod(shape), shape[-1])
+    return offsets.reshape(lead + (1,) * (np.ndim(index) - len(lead))) + index
 
 
 def _per_run(table, index):
@@ -330,62 +332,44 @@ def _per_run(table, index):
     return flat_view(table)[flat_index(table.shape, index)]
 
 
-def _stacked_mean_reward(spec, task, action):
-    """Mean reward of each run's action in a stack of tasks, read from the
-    tasks' mean-reward tables; agents only play valid actions, so none is
-    checked."""
-    if spec.family == SEMIBANDIT:
-        return _per_run(task.theta, action).sum(axis=1)
-    if action.ndim == 2:  # linear raw feature vectors
+def _means(spec, task, action):
+    """Mean reward of each run's action in a stack of tasks, per arm of a
+    semibandit subset; agents only play valid actions, so none is checked.
+    Linear indices read the task's mean-reward table, so each matches the
+    recorded optimum bit for bit."""
+    if spec.family != LINEAR:
+        return _per_run(task.theta, action)
+    if action.ndim == 2:  # raw feature vectors
         return dot(action, task.theta)
     return _per_run(task.means, action)
-
-
-def mean_reward(spec, task, action):
-    """Expected reward of `action` under the task's true parameter."""
-    if spec.family == GAUSSIAN or spec.family == BERNOULLI_MIXTURE:
-        _check_arm(spec, action)
-        return float(task.theta[int(action)])
-    if spec.family == LINEAR:
-        return float(linear_feature(spec, action) @ task.theta)
-    arms = _check_subset(spec, action)
-    return float(task.theta[list(arms)].sum())
 
 
 def realize_reward(spec, task, action, rng):
     """Draw the observed feedback for playing `action` in `task`.
 
-    Returns a float for scalar-feedback families and, for the semibandit
-    family, a dict keyed by arm id with that arm's individual reward.  For a
-    stack of tasks (see `stack_tasks`) `action` holds one action per run,
-    `rng` is a RunStreams, and the result has one reward per run: an array
-    (runs,), or (runs, budget) in the order of each run's arms.
+    For a stack of tasks (see `stack_tasks`) `action` holds one action per
+    run, `rng` is a RunStreams, and the result has one reward per run: an
+    array (runs,), or (runs, budget) in the order of each run's sorted
+    subset.  A one-run call (a task without a run axis, an RngStream) is the
+    same code on a stack of one run: it returns a float, or for the
+    semibandit family an array with one reward per arm in the action's order.
     """
-    if task.theta.ndim == 2:
+    if task.theta.ndim == 1:
+        stack, arms = _one_run(spec, task, action)
+        reward = realize_reward(spec, stack, arms, rng)[0]
         if spec.family == SEMIBANDIT:
-            noise = rng.standard_normal(spec.budget)
-            return _per_run(task.theta, action) + spec.noise_sigma * noise
-        if spec.family == BERNOULLI_MIXTURE:
-            return (rng.random() < _per_run(task.theta, action)).astype(float)
-        mean = _stacked_mean_reward(spec, task, action)
-        return mean + spec.noise_sigma * rng.standard_normal()
+            return reward[np.searchsorted(arms[0], action)]
+        return float(reward)
+    mean = _means(spec, task, action)
     if spec.family == BERNOULLI_MIXTURE:
-        _check_arm(spec, action)
-        return 1.0 if rng.random() < task.theta[int(action)] else 0.0
-    if spec.family == SEMIBANDIT:
-        arms = _check_subset(spec, action)
-        noise = rng.standard_normal(len(arms))
-        return {
-            k: float(task.theta[k] + spec.noise_sigma * z)
-            for k, z in zip(arms, noise)
-        }
-    mean = mean_reward(spec, task, action)
-    return float(mean + spec.noise_sigma * rng.standard_normal())
+        return (rng.random() < mean).astype(float)
+    return mean + spec.noise_sigma * rng.standard_normal(mean.shape[1:])
 
 
 def instant_regret(spec, task, action):
     """Gap between the task's optimal mean reward and the action's, per run
-    for a stack of tasks."""
-    if task.theta.ndim == 2:
-        return task.optimal_value - _stacked_mean_reward(spec, task, action)
-    return task.optimal_value - mean_reward(spec, task, action)
+    for a stack of tasks, or as a float for one run."""
+    if task.theta.ndim == 1:
+        return float(instant_regret(spec, *_one_run(spec, task, action))[0])
+    mean = _means(spec, task, action)
+    return task.optimal_value - (mean.sum(axis=1) if spec.family == SEMIBANDIT else mean)

@@ -101,7 +101,7 @@ def test_select_linear_argmax():
 
 def test_select_semibandit_top_subset():
     post = agents.DiagonalTaskPosterior([1.0, 3.0, 2.0, 0.0], np.zeros(4))
-    assert agents.ts_select(post, (4, 2), RngStream(0)) == (1, 2)
+    assert np.array_equal(agents.ts_select(post, (4, 2), RngStream(0)), [1, 2])
 
 
 def test_select_symmetric_arms_even_split():
@@ -130,7 +130,7 @@ def test_select_shift_invariant():
 def test_select_tie_breaks_to_lowest_index():
     post = agents.DiagonalTaskPosterior([2.0, 2.0, 1.0], np.zeros(3))
     assert agents.ts_select(post, 3, RngStream(0)) == 0
-    assert agents.ts_select(post, (3, 2), RngStream(0)) == (0, 1)
+    assert np.array_equal(agents.ts_select(post, (3, 2), RngStream(0)), [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_single_pull_scalar_conjugacy():
 
 def test_empty_semibandit_observation_is_identity():
     post = agents.DiagonalTaskPosterior([0.1, 0.2], [0.3, 0.4])
-    out = agents.update_task_posterior(post, (0, 1), {}, 1.0)
+    out = agents.update_task_posterior(post, np.array([], dtype=int), np.array([]), 1.0)
     assert np.array_equal(out.mean, post.mean)
     assert np.array_equal(out.var, post.var)
 
@@ -429,8 +429,8 @@ def test_semibandit_update_equals_k_armed_update():
     agent = agents.GaussianFamilyAgent(agents.AgentKind("ada-ts"), spec, RngStream(0))
     meta = agent.meta.copy()
     agent.begin_task(1, 1)
-    for observation in ({0: 0.4}, {2: -0.2}):
-        agent.observe(tuple(observation), observation)
+    for arm, reward in ((0, 0.4), (2, -0.2)):
+        agent.observe(np.array([arm]), np.array([reward]))
     agent.end_task()
     arm = agents.end_task_gaussian(meta, agent.summary, spec)
     assert np.array_equal(agent.meta.mean, arm.mean)
@@ -823,7 +823,7 @@ def test_lockstep_agent_matches_each_run_played_alone(family, name):
         batch_spec = specs[0].with_actions(np.stack([spec.actions for spec in specs]))
     batch = agents.GaussianFamilyAgent(
         kind, batch_spec, RunStreams([RngStream(5, r) for r in range(runs)], block=4), mu_star,
-        None if plans is None else np.stack(plans))
+        None if plans is None else np.stack(plans, axis=1))
     for s in range(1, m + 1):
         batch.begin_task(s, m)
         for agent in solo:
@@ -834,10 +834,7 @@ def test_lockstep_agent_matches_each_run_played_alone(family, name):
             for r, agent in enumerate(solo):
                 action = agent.act(t)
                 assert np.array_equal(np.asarray(action), actions[r])
-                if family == "semibandit":
-                    agent.observe(action, dict(zip(action, rewards[r])))
-                else:
-                    agent.observe(action, float(rewards[r]))
+                agent.observe(action, rewards[r])
             batch.observe(actions, rewards)
             for r, agent in enumerate(solo):
                 for whole, alone in zip(_state(batch.post), _state(agent.post)):

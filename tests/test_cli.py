@@ -1,6 +1,7 @@
 """Command-line front end: parsing, config files, CSV output, subcommands."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,45 @@ def test_non_finite_regret_exits_1_without_csv(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "'ada-ts'" in err and "non-finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["gaussian", "semibandit", "linear"])
+def test_overflowing_run_exits_1_without_csv(tmp_path, capsys, family):
+    """A width whose square is finite can still overflow inside the updates;
+    the run fails instead of writing regret computed from inf."""
+    out = tmp_path / "out.csv"
+    overrides = {"semibandit": {"--env": "semibandit", "--budget": "1"},
+                 "linear": {"--env": "linear", "--dim": "2", "--arms": None},
+                 "gaussian": {}}[family]
+    argv = run_argv(out=str(out), **dict(overrides, **{
+        "--sigma-q": "1e150", "--tasks": "3", "--rounds": "5", "--runs": "2",
+        "--agents": "ada-ts,meta-ts"}))
+    assert cli.main(argv) == 1
+    assert "overflow encountered" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_sigma_q_on_mixture_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--env", "bernoulli-mixture", "--arms", "2", "--mixture", "9:1;1:9",
+            "--sigma-q", "1,2" if command == "sweep" else "1", "--tasks", "2",
+            "--rounds", "3", "--runs", "2", "--agents", "ada-ts", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "--sigma-q" in capsys.readouterr().err.partition("error:")[2]
+    assert not out.exists()
+
+
+def test_zero_mixture_weight_runs_without_runtime_warning(tmp_path, capsys):
+    out = tmp_path / "mix.csv"
+    argv = ["run", "--env", "bernoulli-mixture", "--arms", "2", "--mixture", "9:1;1:9",
+            "--mixture-weights", "1,0", "--tasks", "2", "--rounds", "3", "--runs", "2",
+            "--agents", "ts,meta-ts,ada-ts", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert out.exists()
 
 
 def test_linear_dim_implies_five_d_arms():

@@ -187,7 +187,7 @@ def _replay_mixture_run(config, kind, run):
         agent.begin_task(s, config.m)
         for t in range(1, config.n + 1):
             action = agent.act(t)
-            assert isinstance(action, int)
+            assert isinstance(action, np.integer)
             reward = hierarchy.realize_reward(spec, task, action, rewards_rng)
             instant[s - 1, t - 1] = hierarchy.instant_regret(spec, task, action)
             agent.observe(action, reward)
@@ -219,7 +219,7 @@ def test_lockstep_mixture_agents_replay_as_one_run_agents(monkeypatch, common_ta
                           seed=23, common_tasks=common_tasks)
     trace = harness.run_experiment(config)
     lockstep = {agent.kind.label: agent for agent in built}
-    assert all(agent.runs == config.runs for agent in built)
+    assert all(agent.lead == (config.runs,) for agent in built)
     monkeypatch.undo()
     for kind in config.agents:
         for run in range(config.runs):
@@ -350,4 +350,15 @@ def test_failure_diagnostic_names_the_unit(monkeypatch):
 
     monkeypatch.setattr(hierarchy, "realize_reward", flaky)
     with pytest.raises(RuntimeError, match="agent=ada-ts run=0 task=2 round=3"):
+        harness.run_single(config, config.agents[0], 0)
+    monkeypatch.undo()
+    real_begin = agents.GaussianFamilyAgent.begin_task
+
+    def failing_setup(agent, s, m):
+        if s == 2:
+            raise FloatingPointError("synthetic set-up failure")
+        real_begin(agent, s, m)
+
+    monkeypatch.setattr(agents.GaussianFamilyAgent, "begin_task", failing_setup)
+    with pytest.raises(RuntimeError, match="agent=ada-ts run=0 task=2 round=0"):
         harness.run_single(config, config.agents[0], 0)

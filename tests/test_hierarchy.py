@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metabandit import hierarchy
-from metabandit.gauss_core import RngStream
+from metabandit.gauss_core import RngStream, RunStreams
 
 
 def stream(seed=0, sid=0):
@@ -133,12 +133,12 @@ def test_semibandit_optimal_subset_matches_enumeration():
     spec = hierarchy.semibandit_env(4, budget=2, sigma_q=0.5, sigma_0=0.0, noise_sigma=1.0)
     theta = np.array([1.0, 3.0, 2.0, 0.0])
     task = hierarchy.sample_task(spec, theta, stream())
-    assert task.optimal_action == (1, 2)
+    assert np.array_equal(task.optimal_action, [1, 2])
     assert task.optimal_value == pytest.approx(5.0)
     best = max(
         itertools.combinations(range(4), 2), key=lambda sub: sum(theta[list(sub)])
     )
-    assert tuple(sorted(best)) == task.optimal_action
+    assert np.array_equal(sorted(best), task.optimal_action)
 
 
 def test_linear_optimal_action():
@@ -179,13 +179,13 @@ def test_reward_noiseless_limit():
     assert hierarchy.realize_reward(spec, task, 1, stream()) == pytest.approx(0.7, abs=1e-6)
 
 
-def test_semibandit_reward_keyed_by_arm():
+def test_semibandit_reward_per_arm_in_action_order():
     spec = hierarchy.semibandit_env(4, budget=2, sigma_q=0.5, sigma_0=0.0, noise_sigma=1e-9)
-    task = hierarchy.TaskInstance(np.array([1.0, 3.0, 2.0, 0.0]), (1, 2), 5.0)
-    obs = hierarchy.realize_reward(spec, task, (0, 2), stream())
-    assert sorted(obs) == [0, 2]
-    assert obs[0] == pytest.approx(1.0, abs=1e-6)
-    assert obs[2] == pytest.approx(2.0, abs=1e-6)
+    task = hierarchy.TaskInstance(np.array([1.0, 3.0, 2.0, 0.0]), np.array([1, 2]), 5.0)
+    ordered = hierarchy.realize_reward(spec, task, (0, 2), stream())
+    assert np.allclose(ordered, [1.0, 2.0], rtol=0, atol=1e-6)
+    swapped = hierarchy.realize_reward(spec, task, (2, 0), stream())
+    assert swapped.tobytes() == ordered[::-1].tobytes()
 
 
 def test_reward_sample_mean_clt():
@@ -217,6 +217,61 @@ def test_invalid_actions_rejected():
         hierarchy.instant_regret(semi, semi_task, (0, 1, 2))
     with pytest.raises(hierarchy.InvalidAction):
         hierarchy.instant_regret(semi, semi_task, (0, 0))
+
+
+VIEW_SPECS = {
+    "gaussian": lambda: hierarchy.gaussian_env(3, 0.5, 0.1, 1.0),
+    "linear": lambda: hierarchy.linear_env(
+        2, 1.0, 0.1, 1.0, actions=np.random.default_rng(30).uniform(-0.5, 0.5, (6, 2))),
+    "semibandit": lambda: hierarchy.semibandit_env(5, 2, 0.5, 0.1, 1.0),
+    "mixture": lambda: hierarchy.mixture_env(3, [[9, 9, 9], [1, 1, 1]], [[1, 1, 1], [9, 9, 9]]),
+}
+
+VIEW_ACTIONS = {
+    "gaussian": [0, 2, np.int64(1)],
+    "linear": [0, 5, np.array([0.5, 0.0])],  # an index, or a raw feature vector
+    "semibandit": [(0, 3), np.array([1, 4]), (2, 4)],
+    "mixture": [2, 0, np.int64(1)],
+}
+
+
+@pytest.mark.parametrize("family", list(VIEW_SPECS))
+def test_one_run_call_is_the_stacked_call_on_one_run(family):
+    """A one-run reward or regret is, bit for bit, the stacked call on a
+    stack of one run that draws from a same-seeded RunStreams."""
+    spec = VIEW_SPECS[family]()
+    rng = stream(31)
+    task = hierarchy.sample_task(spec, hierarchy.sample_meta_parameter(spec, rng), rng)
+    alone, lockstep = stream(32), RunStreams([stream(32)], block=4)
+    stack = hierarchy.stack_tasks([task])
+    for action in VIEW_ACTIONS[family] * 3:
+        reward = hierarchy.realize_reward(spec, task, action, alone)
+        stacked = hierarchy.realize_reward(spec, stack, np.asarray(action)[None], lockstep)
+        assert np.asarray(reward).tobytes() == stacked[0].tobytes()
+        regret = hierarchy.instant_regret(spec, task, action)
+        assert isinstance(regret, float)
+        assert regret == hierarchy.instant_regret(spec, stack, np.asarray(action)[None])[0]
+
+
+def row_offset_index(shape, index):
+    """flat_index written out case by case: the index itself without a run
+    axis, else each run's row offset plus its index (or row of indexes)."""
+    if len(shape) == 1:
+        return index
+    runs, width = shape
+    offsets = np.arange(0, runs * width, width)
+    return (offsets[:, None] if np.ndim(index) == 2 else offsets) + index
+
+
+@pytest.mark.parametrize("shape,index", [
+    ((5,), 3), ((5,), np.int64(0)), ((5,), np.array([1, 4])),
+    ((3, 5), np.array([0, 4, 2])), ((3, 5), np.array([[0, 1], [2, 4], [3, 4]])),
+    ((1, 5), np.array([[4, 0]])),
+])
+def test_flat_index_is_row_offset_plus_index(shape, index):
+    flat = hierarchy.flat_index(shape, index)
+    assert np.shape(flat) == np.shape(index)
+    assert np.array_equal(flat, row_offset_index(shape, index))
 
 
 # ---------------------------------------------------------------------------
