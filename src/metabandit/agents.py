@@ -25,7 +25,6 @@ because a Beta draw uses a variable amount of stream.
 
 from dataclasses import dataclass, replace
 import numpy as np
-from scipy.special import betaln
 
 from . import hierarchy
 from .gauss_core import dot, matvec, mvn_sample, symmetrize
@@ -514,6 +513,8 @@ def mixture_update(meta, summary):
     marginal is a product of Beta-function ratios over arms, accumulated in
     log space.
     """
+    from scipy.special import betaln  # only this update needs scipy
+
     ones = summary.sums[..., None, :]
     zeros = (summary.counts - summary.sums)[..., None, :]
     log_marginals = np.sum(
@@ -530,15 +531,13 @@ class MixtureTaskState:
     Beta posteriors, all conditioned on the same task data.  With a run axis
     the log-weights are (runs, C) and the Beta tables (runs, C, K)."""
 
-    __slots__ = ("log_weights", "alphas", "betas", "_rows")
+    __slots__ = ("log_weights", "alphas", "betas")
 
     def __init__(self, log_weights, alphas, betas):
         self.log_weights = np.array(log_weights, dtype=float)
         shape = self.log_weights.shape + np.shape(alphas)[-1:]
         self.alphas = np.array(np.broadcast_to(alphas, shape), dtype=float, order="C")
         self.betas = np.array(np.broadcast_to(betas, shape), dtype=float, order="C")
-        # flat offset of each component's row of arms (per run) in the tables
-        self._rows = shape[-1] * np.arange(self.log_weights.size).reshape(self.log_weights.shape)
 
     def update(self, arm, outcome):
         """Condition on one Bernoulli observation, or on one per run: the
@@ -547,7 +546,7 @@ class MixtureTaskState:
         outcome = np.asarray(outcome, dtype=float)
         if not np.all((outcome == 0.0) | (outcome == 1.0)):
             raise ValueError(f"Bernoulli outcome must be 0 or 1, got {outcome!r}")
-        at = self._rows + np.asarray(arm)[..., None]
+        at = hierarchy.flat_index(self.alphas.shape, np.asarray(arm)[..., None])
         alphas, betas = hierarchy.flat_view(self.alphas), hierarchy.flat_view(self.betas)
         a, b = alphas[at], betas[at]
         hit = outcome[..., None]

@@ -6,7 +6,8 @@ Subcommands:
 * ``bound``  evaluate the regret upper bound for a configuration, printing
              one ``term_<name>=<value>`` line per term plus ``total=``.
 * ``sweep``  cross-product of ``run`` over comma-separated --sigma-q and
-             --arms/--dim values; one CSV per cell in the output directory.
+             size values (--dim for linear, --arms otherwise); one CSV per
+             cell in the output directory.
 
 The argparse parser is the only declaration of the flags: each flag's type
 checks its own domain, config files are read through the same parser, and
@@ -15,7 +16,6 @@ usage errors.
 """
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -188,10 +188,14 @@ def _validate(parser, inv):
     """Rules that join several flags; each flag's own domain is its type."""
     if inv.command == "bound" and inv.env not in (hierarchy.LINEAR, hierarchy.SEMIBANDIT):
         parser.error(f"--env {inv.env} has no regret bound; use linear or semibandit")
-    for flag in ("--arms", "--dim"):
-        if inv.command != "sweep" and len(getattr(inv, flag[2:]) or ()) > 1:
-            parser.error(f"{flag} takes one value in {inv.command}; sweep takes a list")
     size_flag = "--dim" if inv.env == hierarchy.LINEAR else "--arms"
+    for flag in ("--arms", "--dim"):
+        if len(getattr(inv, flag[2:]) or ()) > 1:
+            if inv.command != "sweep":
+                parser.error(f"{flag} takes one value in {inv.command}; sweep takes a list")
+            if flag != size_flag:
+                parser.error(f"{flag} takes one value with --env {inv.env}; "
+                             f"sweep lists {size_flag}")
     sizes = getattr(inv, size_flag[2:])
     if not sizes:
         parser.error(f"--env {inv.env} requires {size_flag}")
@@ -248,33 +252,29 @@ def format_argv(inv):
     return argv
 
 
-def build_spec(inv, sigma_q=None, arms=None, dim=None):
-    """Environment spec for one cell; sweep passes per-cell overrides."""
+def build_spec(inv):
+    """Environment spec of a parsed invocation or of one sweep cell."""
     if inv.env == "bernoulli-mixture":
         alphas, betas = _parse_mixture(inv.mixture)
-        k = arms if arms is not None else inv.arms[0]
+        k = inv.arms[0]
         table_a = np.tile(np.asarray(alphas)[:, None], (1, k))
         table_b = np.tile(np.asarray(betas)[:, None], (1, k))
         return hierarchy.mixture_env(k, table_a, table_b, inv.mixture_weights)
-    sigma_q = inv.sigma_q if sigma_q is None else (sigma_q,)
-    width_q = sigma_q[0] if len(sigma_q) == 1 else np.asarray(sigma_q)
+    width_q = inv.sigma_q[0] if len(inv.sigma_q) == 1 else np.asarray(inv.sigma_q)
     width_0 = inv.sigma_0[0] if len(inv.sigma_0) == 1 else np.asarray(inv.sigma_0)
     if inv.env == "gaussian":
-        k = arms if arms is not None else inv.arms[0]
-        return hierarchy.gaussian_env(k, width_q, width_0, inv.noise)
+        return hierarchy.gaussian_env(inv.arms[0], width_q, width_0, inv.noise)
     if inv.env == "linear":
-        d = dim if dim is not None else inv.dim[0]
-        k = arms if arms is not None else (inv.arms[0] if inv.arms else 5 * d)
+        d = inv.dim[0]
+        k = inv.arms[0] if inv.arms else 5 * d
         return hierarchy.linear_env(d, width_q, width_0, inv.noise, num_arms=k)
-    k = arms if arms is not None else inv.arms[0]
-    return hierarchy.semibandit_env(k, inv.budget, width_q, width_0, inv.noise)
+    return hierarchy.semibandit_env(inv.arms[0], inv.budget, width_q, width_0, inv.noise)
 
 
-def build_config(inv, spec=None):
-    spec = build_spec(inv) if spec is None else spec
+def build_config(inv):
     kinds = tuple(agents_mod.AgentKind.from_name(name) for name in inv.agents)
     return harness.ExperimentConfig(
-        spec=spec,
+        spec=build_spec(inv),
         agents=kinds,
         m=inv.tasks,
         n=inv.rounds,
@@ -284,45 +284,25 @@ def build_config(inv, spec=None):
     )
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _cell(value):
     return repr(float(value))
 
 
-def emit_csv(result, path):
-    """Write a trace or an aggregate curve; row order is fixed by agent
-    order, then run, task, round, so identical inputs give identical bytes."""
-    if isinstance(result, harness.RegretTrace):
-        rows = []
-        for kind in result.config.agents:
-            label = kind.label
-            inst = result.instant[label]
-            cum = result.cumulative(label)
-            for run in range(inst.shape[0]):
-                for s in range(result.config.m):
-                    for t in range(result.config.n):
-                        rows.append([
-                            label, run + 1, s + 1, t + 1,
-                            _cell(inst[run, s, t]), _cell(cum[run, s, t]),
-                        ])
-        _write_rows(path, ["agent", "run", "task", "round", "instant_regret", "cum_regret"], rows)
-        return
-    rows = []
-    for kind in result.config.agents:
+def emit_csv(curve, path):
+    """Write an aggregate curve, one row per agent, task and round in agent
+    order, each float as its shortest round-trip repr, so identical inputs
+    give identical bytes."""
+    lines = ["agent,task,round,mean_cum_regret,stderr"]
+    for kind in curve.config.agents:
         label = kind.label
-        if label not in result.mean:
+        if label not in curve.mean:
             continue
-        mean, err = result.mean[label], result.stderr[label]
-        for s in range(result.config.m):
-            for t in range(result.config.n):
-                rows.append([label, s + 1, t + 1, _cell(mean[s, t]), _cell(err[s, t])])
-    _write_rows(path, ["agent", "task", "round", "mean_cum_regret", "stderr"], rows)
+        mean, err = curve.mean[label].tolist(), curve.stderr[label].tolist()
+        for s, (mean_row, err_row) in enumerate(zip(mean, err), 1):
+            lines += [f"{label},{s},{t},{x!r},{e!r}"
+                      for t, (x, e) in enumerate(zip(mean_row, err_row), 1)]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write("\r\n".join(lines) + "\r\n")
 
 
 def _derived_eta(inv):
@@ -341,8 +321,8 @@ def _require_finite(curve):
             raise RuntimeError(f"agent {label!r} has non-finite regret; no CSV written")
 
 
-def _write_curve(inv, path, spec=None):
-    curve = harness.aggregate(harness.run_experiment(build_config(inv, spec)))
+def _write_curve(inv, path):
+    curve = harness.aggregate(harness.run_experiment(build_config(inv)))
     _require_finite(curve)
     emit_csv(curve, path)
     print(path)
@@ -370,21 +350,20 @@ def _cmd_bound(inv):
 
 
 def _sweep_cells(inv):
-    if inv.env == "linear":
-        for sq in inv.sigma_q:
-            for d in inv.dim:
-                yield sq, None, d, f"sq{sq:g}_d{d}"
-    else:
-        for sq in inv.sigma_q or (None,):  # only the mixture family has none
-            for k in inv.arms:
-                yield sq, k, None, f"sq{sq:g}_K{k}" if sq is not None else f"K{k}"
+    """A sweep's cells as (tag, cell): each cell is `inv` with one --sigma-q
+    width and one size on the family's size flag, --dim or --arms."""
+    size, letter = ("dim", "d") if inv.env == hierarchy.LINEAR else ("arms", "K")
+    for sq in inv.sigma_q or (None,):  # only the mixture family has none
+        for value in getattr(inv, size):
+            tag = f"{letter}{value}" if sq is None else f"sq{sq:g}_{letter}{value}"
+            widths = inv.sigma_q if sq is None else (sq,)
+            yield tag, argparse.Namespace(**{**vars(inv), "sigma_q": widths, size: (value,)})
 
 
 def _cmd_sweep(inv):
     os.makedirs(inv.out, exist_ok=True)
-    for sq, arms, dim, tag in _sweep_cells(inv):
-        spec = build_spec(inv, sigma_q=sq, arms=arms, dim=dim)
-        _write_curve(inv, os.path.join(inv.out, f"{inv.env}_{tag}.csv"), spec)
+    for tag, cell in _sweep_cells(inv):
+        _write_curve(cell, os.path.join(inv.out, f"{inv.env}_{tag}.csv"))
     return 0
 
 

@@ -8,7 +8,6 @@ point-mass priors, still factor.
 """
 
 import numpy as np
-import scipy.linalg
 
 # Diagonal jitter ladder tried in order until the factorization succeeds.
 JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
@@ -67,13 +66,18 @@ def cholesky(a):
 
 
 def solve_spd(a, b):
-    """Solve a @ x = b for SPD `a` via Cholesky."""
+    """Solve a @ x = b for SPD `a` via Cholesky.  A reference for the tests:
+    the package solves with its own factors, so scipy is loaded only here."""
+    import scipy.linalg
+
     lower = cholesky(a)
     return scipy.linalg.cho_solve((lower, True), np.asarray(b, dtype=float))
 
 
 def spd_inverse(a):
-    """Inverse of an SPD matrix, re-symmetrized."""
+    """Inverse of an SPD matrix, re-symmetrized; a reference like solve_spd."""
+    import scipy.linalg
+
     lower = cholesky(a)
     inv = scipy.linalg.cho_solve((lower, True), np.eye(lower.shape[0]))
     return symmetrize(inv)

@@ -12,6 +12,7 @@ rewards are noisy observations of theta.  Four families share this structure:
 """
 
 from dataclasses import dataclass, replace
+import functools
 import math
 
 import numpy as np
@@ -322,9 +323,19 @@ def flat_index(shape, index):
     `shape`: `index` names one entry, or a row of entries (trailing axis k),
     in each row along the last axis of `shape`.  Indexing a flat view is
     several times cheaper than indexing by (rows, index)."""
+    return _row_offsets(shape, np.ndim(index)) + index
+
+
+@functools.lru_cache(maxsize=64)
+def _row_offsets(shape, index_ndim):
+    """Flat offset of each row along the last axis of `shape`, shaped to
+    broadcast against an index of `index_ndim` axes; built once per pair and
+    read-only, since the cache shares it."""
     lead = shape[:-1]
     offsets = np.arange(0, math.prod(shape), shape[-1])
-    return offsets.reshape(lead + (1,) * (np.ndim(index) - len(lead))) + index
+    offsets = offsets.reshape(lead + (1,) * (index_ndim - len(lead)))
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _per_run(table, index):

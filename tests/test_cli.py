@@ -1,6 +1,10 @@
 """Command-line front end: parsing, config files, CSV output, subcommands."""
 
+import hashlib
+from pathlib import Path
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -102,13 +106,20 @@ def test_invalid_mixture_weights_exit_2_and_write_nothing(tmp_path, capsys, weig
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--arms", "4,0"), ("--sigma-0", "0.1,0.1")])
-def test_invalid_sweep_exits_2_and_writes_nothing(tmp_path, capsys, flag, value):
-    """A bad cell is refused before the first cell is written."""
+@pytest.mark.parametrize("env,flag,value", [
+    pytest.param("gaussian", "--arms", "4,0", id="--arms-4,0"),
+    pytest.param("gaussian", "--sigma-0", "0.1,0.1", id="--sigma-0-0.1,0.1"),
+    # a list on the flag that is not the family's size flag
+    ("linear", "--arms", "10,20"), ("gaussian", "--dim", "3,4"),
+])
+def test_invalid_sweep_exits_2_and_writes_nothing(tmp_path, capsys, env, flag, value):
+    """A bad cell is refused before the first cell is written, and no list
+    value is silently dropped."""
     out = tmp_path / "cells"
-    flags = {"--arms": "2,3", "--sigma-q": "0.5", "--tasks": "1", "--rounds": "2",
+    size = {"--dim": "2"} if env == "linear" else {"--arms": "2,3"}
+    flags = {**size, "--sigma-q": "0.5", "--tasks": "1", "--rounds": "2",
              "--runs": "1", "--agents": "ts", "--out": str(out), flag: value}
-    argv = ["sweep", "--env", "gaussian"] + [v for pair in flags.items() for v in pair]
+    argv = ["sweep", "--env", env] + [v for pair in flags.items() for v in pair]
     assert cli.main(argv) == 2
     assert flag in capsys.readouterr().err.partition("error:")[2]
     assert not out.exists()
@@ -230,6 +241,22 @@ def test_zero_mixture_weight_runs_without_runtime_warning(tmp_path, capsys):
         assert cli.main(argv) == 0
     capsys.readouterr()
     assert out.exists()
+
+
+def test_parse_and_build_config_load_no_scipy():
+    """scipy is imported only where it is called (the mixture meta-update and
+    the reference SPD helpers), so a Gaussian run starts without it."""
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from metabandit import cli\n"
+        "cli.build_config(cli.parse(sys.argv[2:]))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, src, *run_argv()],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_linear_dim_implies_five_d_arms():
@@ -375,16 +402,6 @@ def tiny_trace(m=1, n=2):
     return harness.run_experiment(config)
 
 
-def test_trace_csv_structure(tmp_path):
-    path = tmp_path / "trace.csv"
-    cli.emit_csv(tiny_trace(), path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "agent,run,task,round,instant_regret,cum_regret"
-    assert len(lines) == 3  # header + 1 run * 1 task * 2 rounds
-    assert lines[1].startswith("ts,1,1,1,")
-    assert lines[2].startswith("ts,1,1,2,")
-
-
 def test_curve_csv_structure_and_determinism(tmp_path):
     trace = tiny_trace(m=2, n=3)
     curve = harness.aggregate(trace)
@@ -406,25 +423,74 @@ def test_empty_curve_writes_header_only(tmp_path):
 
 
 def test_csv_cells_are_locale_proof_round_trip_decimals(tmp_path):
-    path = tmp_path / "trace.csv"
-    cli.emit_csv(tiny_trace(m=2, n=4), path)
-    cell = re.compile(r"^-?(\d+\.?\d*|\d*\.\d+)(e-?\+?\d+)?$|^-?\d+\.\d+e[+-]\d+$")
+    path = tmp_path / "curve.csv"
+    cli.emit_csv(harness.aggregate(tiny_trace(m=2, n=4)), path)
     for line in path.read_text().splitlines()[1:]:
         parts = line.split(",")
-        assert len(parts) == 6
-        for value in parts[4:]:
+        assert len(parts) == 5
+        for value in parts[3:]:
             parsed = float(value)  # dot-decimal, parseable
             assert repr(parsed) == value  # shortest round-trip form
 
 
-def test_cumulative_column_accumulates(tmp_path):
-    path = tmp_path / "trace.csv"
-    cli.emit_csv(tiny_trace(m=2, n=3), path)
-    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-    running = 0.0
-    for row in rows:
-        running += float(row[4])
-        assert float(row[5]) == pytest.approx(running, rel=1e-12)
+PIN_FLAGS = ["--tasks", "3", "--rounds", "5", "--runs", "4", "--seed", "11"]
+
+# sha256 of the CSV a small `run` writes, one config per family
+RUN_CSV_DIGESTS = {
+    ("gaussian", "ts,oracle-ts,meta-ts,ada-ts,ada-ts-forced",
+     "--arms", "3", "--sigma-q", "0.5"):
+        "37ad5a1175058ffba40ec0b466ab48f97fc5dc78e48a54b85ab6ae2bca77b06f",
+    ("linear", "ts,oracle-ts,ada-ts,ada-ts-forced",
+     "--dim", "2", "--arms", "6", "--sigma-q", "1"):
+        "a7b2d3e3d23b208d699aeb1c728c39e9f9f5b127337034ddd6036524733a111d",
+    ("semibandit", "ts,oracle-ts,ada-ts+,ada-ts-",
+     "--arms", "4", "--budget", "2", "--sigma-q", "0.5", "--sigma-0", "0,0.1,0,0.1"):
+        "7508b64036bac2f89e6d1ef978c4bd4cedbf579655dced14d4014049328f07ac",
+    ("bernoulli-mixture", "ts,oracle-ts,meta-ts,ada-ts,misassigned-ts",
+     "--arms", "3", "--mixture", "9:1;1:9"):
+        "2acea8072171598d95f5b010c6128b6be72455a1438e00934543cb9bb61f39ad",
+}
+
+
+@pytest.mark.parametrize("key", list(RUN_CSV_DIGESTS), ids=lambda key: key[0])
+def test_run_reproduces_pinned_csv(tmp_path, capsys, key):
+    env, agents, *flags = key
+    out = tmp_path / "run.csv"
+    argv = ["run", "--env", env, "--agents", agents, *flags, *PIN_FLAGS, "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_CSV_DIGESTS[key]
+
+
+# file names, and sha256 over each file's name then bytes in name order, of
+# the cells a small `sweep` writes
+SWEEP_DIGESTS = {
+    ("gaussian", "--arms", "2,3", "--sigma-q", "0.5,1"): (
+        ["gaussian_sq0.5_K2.csv", "gaussian_sq0.5_K3.csv",
+         "gaussian_sq1_K2.csv", "gaussian_sq1_K3.csv"],
+        "5ae90f30d7ac391896fbf9a5fee2eb96ee08bb0343fe5bed34b2d8d02435c722"),
+    ("linear", "--dim", "2,3", "--sigma-q", "0.5,1"): (
+        ["linear_sq0.5_d2.csv", "linear_sq0.5_d3.csv", "linear_sq1_d2.csv", "linear_sq1_d3.csv"],
+        "8828c4424ebe5ff5909bd92ad1cf71977e50fa701cb9668fc4d7b0598dbe5a05"),
+    ("bernoulli-mixture", "--arms", "2,3", "--mixture", "9:1;1:9"): (
+        ["bernoulli-mixture_K2.csv", "bernoulli-mixture_K3.csv"],
+        "96a19aaa92149821409a27cea31007bd0fa09eaf86735b08543fadd7dc412763"),
+}
+
+
+@pytest.mark.parametrize("key", list(SWEEP_DIGESTS), ids=lambda key: key[0])
+def test_sweep_reproduces_pinned_cells(tmp_path, capsys, key):
+    env, *flags = key
+    out = tmp_path / "cells"
+    argv = ["sweep", "--env", env, "--agents", "ts,ada-ts", *flags, *PIN_FLAGS, "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in out.iterdir())
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode())
+        digest.update((out / name).read_bytes())
+    assert (names, digest.hexdigest()) == SWEEP_DIGESTS[key]
 
 
 # ---------------------------------------------------------------------------
