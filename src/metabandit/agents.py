@@ -413,15 +413,15 @@ def choose_spanning_actions(actions, floor=1e-6):
     """Pick d actions from the set that jointly span, greedily maximizing the
     smallest eigenvalue of the running Gram matrix.
 
-    Returns (plan, eta) where eta is the smallest eigenvalue of the chosen
-    Gram.  If the set cannot reach eta >= floor, falls back to the scaled
-    standard basis 0.5 * e_i (played as raw feature vectors).
+    Returns (row indices, eta) where eta is the smallest eigenvalue of the
+    chosen Gram.  Raises ValueError if the set cannot reach eta >= floor, as
+    a set of fewer than d actions never can.
     """
     actions = np.asarray(actions, dtype=float)
     num, dim = actions.shape
     chosen = []
     gram = np.zeros((dim, dim))
-    for _ in range(dim):
+    for _ in range(min(dim, num)):
         best_idx, best_score = None, None
         for idx in range(num):
             if idx in chosen:
@@ -430,14 +430,14 @@ def choose_spanning_actions(actions, floor=1e-6):
             score = tuple(np.linalg.eigvalsh(cand))
             if best_score is None or score > best_score:
                 best_idx, best_score = idx, score
-        if best_idx is None:
-            break
         chosen.append(best_idx)
         gram += np.outer(actions[best_idx], actions[best_idx])
-    eta = float(np.linalg.eigvalsh(gram)[0]) if chosen else 0.0
+    eta = float(np.linalg.eigvalsh(gram)[0])
     if eta < floor:
-        basis = [0.5 * np.eye(dim)[i] for i in range(dim)]
-        return basis, 0.25
+        raise ValueError(
+            f"the {num} actions do not span R^{dim}: the best {len(chosen)} reach "
+            f"exploration strength {eta:.3g} < {floor:g}"
+        )
     return chosen, eta
 
 
@@ -449,22 +449,26 @@ def spanning_strength(features):
     return float(np.linalg.eigvalsh(gram)[0])
 
 
-def forced_exploration_plan(s, m, spec, exploration_actions=None):
-    """Opening-round actions for task s (1-based); empty if s is not an
-    exploring task.
-
-    K-armed tasks pull every arm once, linear tasks play the run's spanning
-    actions, semibandit tasks play covering subsets.
-    """
-    if s not in exploring_tasks(m):
-        return []
+def opening_actions(spec):
+    """The actions forced exploration plays, one per opening round: every
+    arm (K-armed), covering subsets (semibandit), or the rows of the action
+    set that span R^d (linear).  For a (runs, K, d) set each round holds one
+    row index per run."""
     if spec.family == hierarchy.LINEAR:
-        if exploration_actions is None:
-            raise ValueError("linear forced exploration needs chosen actions")
-        return list(exploration_actions)
+        if spec.actions is None:
+            raise ValueError("linear forced exploration needs an action set")
+        sets = spec.actions.reshape((-1,) + spec.actions.shape[-2:])
+        rows = np.array([choose_spanning_actions(actions)[0] for actions in sets])
+        return list(rows.T.reshape((spec.dim,) + spec.actions.shape[:-2]))
     if spec.family == hierarchy.SEMIBANDIT:
         return covering_subsets(spec.num_arms, spec.budget)
     return list(range(spec.num_arms))
+
+
+def forced_exploration_plan(s, m, spec):
+    """Opening-round actions for task s (1-based): `opening_actions`, or
+    none if s is not an exploring task."""
+    return opening_actions(spec) if s in exploring_tasks(m) else []
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +593,14 @@ class GaussianFamilyAgent:
     `lead` = `rng.lead`: (R,) for a RunStreams of R runs, () for an
     RngStream.  `mu_star`, all state and, when each run has its own, the
     linear action set have that leading shape; so has each action of `act`:
-    an arm, a sorted int array of arms, a linear index or a raw feature
-    vector (forced exploration).  A linear `exploration_actions` is
-    (rounds,) + lead + (dim,).  `observe` takes an action and its reward, or the array
+    an arm or a linear index into the run's action set, or a sorted int
+    array of arms.  `observe` takes an action and its reward, or the array
     of its arms' rewards.  Each run uses its own stream as it would alone.
+    ada-ts-forced works out its `opening_actions` once, when it is built: a
+    linear action set that cannot span R^d raises ValueError there.
     """
 
-    def __init__(self, kind, spec, rng, mu_star=None, exploration_actions=None):
+    def __init__(self, kind, spec, rng, mu_star=None):
         require_family(kind, spec.family)
         self.kind = kind
         self.spec = scale_meta_prior(spec, kind.scale) if kind.scale != 1.0 else spec
@@ -605,17 +610,15 @@ class GaussianFamilyAgent:
         self.meta = initial_meta_posterior(self.spec, self.lead)
         self.noise_var = spec.noise_sigma**2
         self._learns = kind.base in (META_TS, ADA_TS, ADA_TS_FORCED)
-        self.exploration_actions = exploration_actions
         if spec.family == hierarchy.LINEAR:
             self._actions = spec.actions
-            per_run = (spec.dim,)
         elif spec.family == hierarchy.SEMIBANDIT:
             self._actions = (spec.num_arms, spec.budget)
-            per_run = (spec.budget,)
         else:
             self._actions = spec.num_arms
-            per_run = ()
-        self._plan_shape = self.lead + per_run
+        opening = opening_actions(spec) if kind.base == ADA_TS_FORCED else []
+        per_run = (spec.budget,) if spec.family == hierarchy.SEMIBANDIT else ()
+        self._opening = [np.broadcast_to(a, self.lead + per_run) for a in opening]
         self.post = None
         self.summary = None
         self.plan = []
@@ -626,10 +629,7 @@ class GaussianFamilyAgent:
             self.summary = LinearSummary(self.spec.dim, self.lead)
         else:
             self.summary = ArmSummary(self.spec.num_arms, self.lead)
-        self.plan = []
-        if self.kind.base == ADA_TS_FORCED:
-            plan = forced_exploration_plan(s, m, self.spec, self.exploration_actions)
-            self.plan = [np.broadcast_to(a, self._plan_shape) for a in plan]
+        self.plan = self._opening if self._opening and s in exploring_tasks(m) else []
 
     def act(self, t):
         if t <= len(self.plan):

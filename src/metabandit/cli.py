@@ -199,6 +199,11 @@ def _validate(parser, inv):
     sizes = getattr(inv, size_flag[2:])
     if not sizes:
         parser.error(f"--env {inv.env} requires {size_flag}")
+    if inv.env == hierarchy.LINEAR and inv.arms and inv.arms[0] < max(sizes) and (
+            agents_mod.ADA_TS_FORCED in getattr(inv, "agents", ())
+            or inv.command == "bound" and inv.eta is None):
+        parser.error(f"--arms {inv.arms[0]} actions cannot span R^{max(sizes)} (--dim); "
+                     f"ada-ts-forced explores a spanning set, and bound derives --eta from one")
     if inv.env == hierarchy.SEMIBANDIT and inv.budget is None:
         parser.error("--env semibandit requires --budget")
     if inv.budget is not None and inv.arms and inv.budget > min(inv.arms):

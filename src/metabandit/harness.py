@@ -11,10 +11,11 @@ draws have a fixed size are drawn in per-task blocks; a Bernoulli-mixture
 agent's own stream is drawn run by run instead, because its Beta draws
 consume a variable amount of stream.
 
-When ``common_tasks`` is set, the task-generation stream drops the agent
-label, so every agent in a run faces the same action set, meta-parameter and
-task sequence, sampled once per run, while still drawing its own reward
-noise.
+Each run's world (linear action set, meta-parameter, task sequence) is
+sampled from that run's own task stream, and the worlds of all runs are
+stacked once along the run axis.  When ``common_tasks`` is set, the
+task-generation stream drops the agent label, so every agent in a run faces
+the same world, sampled once, while still drawing its own reward noise.
 """
 
 from dataclasses import dataclass
@@ -123,23 +124,33 @@ def _task_digest(run_spec, mu_star, tasks):
 
 @dataclass(frozen=True, eq=False)
 class _World:
-    """What one run's agent faces: its environment spec (with the run's own
-    action set for linear), mu_star, the task sequence and its digest."""
+    """What an agent faces in each of its runs, stacked along a leading run
+    axis: the environment spec (for linear, each run's own action set as
+    (runs, K, d) when they are sampled per run), mu_star per run, the m tasks,
+    each stacked by `stack_tasks`, and one task-sequence digest per run."""
 
     spec: hierarchy.EnvironmentSpec
-    mu_star: object
+    mu_star: np.ndarray
     tasks: list
-    digest: str
+    digests: tuple
 
 
-def _sample_world(config, label, run):
-    tasks_rng = _stream(config, "tasks", label, run)
-    spec = config.spec
-    if spec.family == hierarchy.LINEAR and spec.actions is None:
-        spec = _sample_run_actions(spec, tasks_rng)
-    mu_star = hierarchy.sample_meta_parameter(spec, tasks_rng)
-    tasks = [hierarchy.sample_task(spec, mu_star, tasks_rng) for _ in range(config.m)]
-    return _World(spec, mu_star, tasks, _task_digest(spec, mu_star, tasks))
+def _sample_world(config, label, runs):
+    """Each of `runs` sampled from its own task stream, as it would be alone,
+    then stacked once."""
+    spec, worlds = config.spec, []
+    sampled = spec.family == hierarchy.LINEAR and spec.actions is None
+    for run in runs:
+        tasks_rng = _stream(config, "tasks", label, run)
+        run_spec = _sample_run_actions(spec, tasks_rng) if sampled else spec
+        mu_star = hierarchy.sample_meta_parameter(run_spec, tasks_rng)
+        tasks = [hierarchy.sample_task(run_spec, mu_star, tasks_rng) for _ in range(config.m)]
+        worlds.append((run_spec.actions, mu_star, tasks, _task_digest(run_spec, mu_star, tasks)))
+    actions, mu_stars, tasks, digests = zip(*worlds)
+    if sampled:
+        spec = spec.with_actions(np.stack(actions))
+    stacked = [hierarchy.stack_tasks(per_run) for per_run in zip(*tasks)]
+    return _World(spec, np.stack(mu_stars), stacked, digests)
 
 
 def _play(config, kind, runs, spec, agent, tasks, rewards):
@@ -170,34 +181,20 @@ def _play(config, kind, runs, spec, agent, tasks, rewards):
     return instant
 
 
-def _spanning_features(run_spec):
-    """One run's linear forced-exploration plan as feature vectors, one row
-    per exploring round (action-set rows, or the fallback basis)."""
-    plan, _ = agents_mod.choose_spanning_actions(run_spec.actions)
-    return hierarchy.linear_feature(run_spec, np.asarray(plan))
-
-
-def _run_agent(config, kind, runs, worlds):
+def _run_agent(config, kind, runs, world):
     """Instant regret (len(runs), m, n) of one agent kind over `runs`, given
-    each run's world; one agent plays all of them in lockstep."""
+    their stacked world; one agent plays all of them in lockstep."""
 
     def lockstep(purpose):
         streams = [_stream(config, purpose, kind.label, run) for run in runs]
         return RunStreams(streams, block=config.n)
 
-    spec = config.spec
-    if spec.family == hierarchy.LINEAR and spec.actions is None:
-        spec = spec.with_actions(np.stack([world.spec.actions for world in worlds]))
-    mu_star = np.stack([world.mu_star for world in worlds])
-    if spec.family == hierarchy.BERNOULLI_MIXTURE:
-        agent = agents_mod.MixtureFamilyAgent(kind, spec, lockstep("agent"), mu_star)
+    if world.spec.family == hierarchy.BERNOULLI_MIXTURE:
+        agent_class = agents_mod.MixtureFamilyAgent
     else:
-        exploration = None
-        if kind.base == agents_mod.ADA_TS_FORCED and spec.family == hierarchy.LINEAR:
-            exploration = np.stack([_spanning_features(world.spec) for world in worlds], axis=1)
-        agent = agents_mod.GaussianFamilyAgent(kind, spec, lockstep("agent"), mu_star, exploration)
-    tasks = (hierarchy.stack_tasks([world.tasks[s] for world in worlds]) for s in range(config.m))
-    return _play(config, kind, runs, spec, agent, tasks, lockstep("rewards"))
+        agent_class = agents_mod.GaussianFamilyAgent
+    agent = agent_class(kind, world.spec, lockstep("agent"), world.mu_star)
+    return _play(config, kind, runs, world.spec, agent, world.tasks, lockstep("rewards"))
 
 
 def run_single(config, kind, run):
@@ -206,23 +203,21 @@ def run_single(config, kind, run):
     Output is a pure function of (config.spec, config.seed, common_tasks,
     kind, run): agent order and the other runs play no role.
     """
-    world = _sample_world(config, kind.label, run)
-    return _run_agent(config, kind, [run], [world])[0], world.digest
+    world = _sample_world(config, kind.label, [run])
+    return _run_agent(config, kind, [run], world)[0], world.digests[0]
 
 
 def run_experiment(config):
-    """Run every agent over every run.  With common tasks each run's world is
-    sampled once and shared by all agents."""
+    """Run every agent over every run.  With common tasks the world of all
+    runs is sampled once and shared by all agents."""
     runs = list(range(config.runs))
-    shared = None
-    if config.common_tasks:
-        shared = [_sample_world(config, "", run) for run in runs]
+    shared = _sample_world(config, "", runs) if config.common_tasks else None
     instant, hashes = {}, {}
     for kind in config.agents:
-        worlds = shared or [_sample_world(config, kind.label, run) for run in runs]
-        instant[kind.label] = _run_agent(config, kind, runs, worlds)
-        for run, world in zip(runs, worlds):
-            hashes[(kind.label, run)] = world.digest
+        world = shared or _sample_world(config, kind.label, runs)
+        instant[kind.label] = _run_agent(config, kind, runs, world)
+        for run, digest in zip(runs, world.digests):
+            hashes[(kind.label, run)] = digest
     return RegretTrace(config, instant, hashes)
 
 

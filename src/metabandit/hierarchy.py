@@ -252,7 +252,7 @@ def sample_task(spec, mu_star, rng):
     if spec.family == LINEAR:
         # the recorded optimum is the float max of these per-action means,
         # which regret reads back, so regret is never < 0
-        scores = np.array([float(a @ theta) for a in spec.actions])
+        scores = dot(spec.actions, theta)
         best = int(np.argmax(scores))
         return TaskInstance(theta, best, float(scores[best]), scores)
     if spec.family == SEMIBANDIT:
@@ -279,11 +279,8 @@ def _check_arm(spec, arm):
 
 def linear_feature(spec, action):
     """Feature vectors of linear actions: an index into the action set, or
-    one index per run, gives its row (per run); a raw feature vector, which
-    forced-exploration fallbacks play, is returned as is."""
+    one index per run, gives its row (per run)."""
     action = np.asarray(action)
-    if action.dtype.kind == "f":
-        return action
     if spec.actions.ndim == 2:
         return spec.actions[action]
     return spec.actions[np.arange(action.shape[0]), action]
@@ -304,10 +301,8 @@ def _one_run(spec, task, action):
     action = np.asarray(action)
     if spec.family == SEMIBANDIT:
         action = _check_subset(spec, action)
-    elif spec.family != LINEAR or action.dtype.kind != "f":
+    else:
         _check_arm(spec, action)
-    elif action.shape != (spec.dim,):
-        raise InvalidAction(f"feature vector shape {action.shape} != ({spec.dim},)")
     return stack_tasks([task]), action[None]
 
 
@@ -348,22 +343,21 @@ def _means(spec, task, action):
     semibandit subset; agents only play valid actions, so none is checked.
     Linear indices read the task's mean-reward table, so each matches the
     recorded optimum bit for bit."""
-    if spec.family != LINEAR:
-        return _per_run(task.theta, action)
-    if action.ndim == 2:  # raw feature vectors
-        return dot(action, task.theta)
-    return _per_run(task.means, action)
+    return _per_run(task.means if spec.family == LINEAR else task.theta, action)
 
 
 def realize_reward(spec, task, action, rng):
     """Draw the observed feedback for playing `action` in `task`.
 
-    For a stack of tasks (see `stack_tasks`) `action` holds one action per
-    run, `rng` is a RunStreams, and the result has one reward per run: an
-    array (runs,), or (runs, budget) in the order of each run's sorted
-    subset.  A one-run call (a task without a run axis, an RngStream) is the
-    same code on a stack of one run: it returns a float, or for the
-    semibandit family an array with one reward per arm in the action's order.
+    An action is an arm, an index into the linear action set, or a
+    semibandit subset of arms.  For a stack of tasks (see `stack_tasks`)
+    `action` holds one action per run, `rng` is a RunStreams, and the result
+    has one reward per run: an array (runs,), or (runs, budget) in the order
+    of each run's sorted subset.  A one-run call (a task without a run axis,
+    an RngStream) is the same code on a stack of one run: it returns a float,
+    or for the semibandit family an array with one reward per arm in the
+    action's order.  It checks the action first: anything else, a feature
+    vector among them, is an InvalidAction.
     """
     if task.theta.ndim == 1:
         stack, arms = _one_run(spec, task, action)

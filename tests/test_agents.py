@@ -587,11 +587,13 @@ def test_choose_spanning_actions_from_generic_set():
     assert eta == pytest.approx(agents.spanning_strength(actions[plan]))
 
 
-def test_choose_spanning_actions_degenerate_fallback():
-    actions = np.array([[0.5, 0.0], [0.25, 0.0], [0.1, 0.0]])
-    plan, eta = agents.choose_spanning_actions(actions)
-    assert eta == 0.25
-    assert np.allclose(plan, 0.5 * np.eye(2))
+@pytest.mark.parametrize("actions", [
+    [[0.5, 0.0], [0.25, 0.0], [0.1, 0.0]],  # collinear
+    [[0.5, 0.0]],                           # fewer actions than dimensions
+], ids=["collinear", "too-few"])
+def test_choose_spanning_actions_refuses_a_set_that_cannot_span(actions):
+    with pytest.raises(ValueError, match="do not span R\\^2"):
+        agents.choose_spanning_actions(np.array(actions))
 
 
 def test_linear_plan_requires_actions():
@@ -812,18 +814,13 @@ def test_lockstep_agent_matches_each_run_played_alone(family, name):
         specs = [hierarchy.linear_env(2, 1.0, 0.1, 1.0, actions=data.uniform(-0.5, 0.5, (6, 2)))
                  for _ in range(runs)]
     mu_star = data.standard_normal((runs, specs[0].param_dim))
-    plans = None
-    if kind.base == agents.ADA_TS_FORCED and family == "linear":
-        plans = [spec.actions[agents.choose_spanning_actions(spec.actions)[0]] for spec in specs]
-    solo = [agents.GaussianFamilyAgent(kind, spec, RngStream(5, r), mu_star[r],
-                                       None if plans is None else plans[r])
+    solo = [agents.GaussianFamilyAgent(kind, spec, RngStream(5, r), mu_star[r])
             for r, spec in enumerate(specs)]
     batch_spec = specs[0]
     if family == "linear":
         batch_spec = specs[0].with_actions(np.stack([spec.actions for spec in specs]))
     batch = agents.GaussianFamilyAgent(
-        kind, batch_spec, RunStreams([RngStream(5, r) for r in range(runs)], block=4), mu_star,
-        None if plans is None else np.stack(plans, axis=1))
+        kind, batch_spec, RunStreams([RngStream(5, r) for r in range(runs)], block=4), mu_star)
     for s in range(1, m + 1):
         batch.begin_task(s, m)
         for agent in solo:

@@ -3,6 +3,7 @@
 import hashlib
 from pathlib import Path
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -125,6 +126,21 @@ def test_invalid_sweep_exits_2_and_writes_nothing(tmp_path, capsys, env, flag, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,dims", [("run", "2"), ("sweep", "1,2")])
+def test_forced_exploration_without_a_spanning_set_exits_2(tmp_path, capsys, command, dims):
+    """Fewer actions than dimensions cannot span R^d, so ada-ts-forced has no
+    opening actions to play; in a sweep one such cell refuses them all."""
+    out = tmp_path / "out"
+    argv = [command, "--env", "linear", "--dim", dims, "--arms", "1", "--sigma-q", "1",
+            "--tasks", "2", "--rounds", "3", "--runs", "2", "--out", str(out)]
+    assert cli.main(argv + ["--agents", "ada-ts,ada-ts-forced"]) == 2
+    err = capsys.readouterr().err.partition("error:")[2]
+    assert "--arms" in err and "ada-ts-forced" in err
+    assert not out.exists()
+    assert cli.main(argv + ["--agents", "ada-ts"]) == 0  # only forced exploration needs a span
+    capsys.readouterr()
+
+
 MIXTURE_FLAGS = {"--env": "bernoulli-mixture", "--arms": "3", "--mixture": "9:1;1:9",
                  "--sigma-q": None}
 
@@ -154,6 +170,7 @@ BOUND_ARGV = ["bound", "--env", "linear", "--dim", "2", "--sigma-q", "1",
 @pytest.mark.parametrize("flag,value", [
     ("--delta", "0"), ("--delta", "1.5"), ("--delta", "nan"), ("--eta", "0"),
     ("--eta", "-1"), ("--env", "bernoulli-mixture"),
+    ("--arms", "1"),  # no action set of 1 spans R^2, so no --eta to derive
 ])
 def test_bound_invalid_input_exits_2(capsys, flag, value):
     argv = BOUND_ARGV + [flag, value]
@@ -298,6 +315,25 @@ def test_parse_format_round_trip():
     ]
     for inv in invocations:
         assert cli.parse(cli.format_argv(inv)) == inv
+
+
+def readme_commands():
+    """Each `metabandit ...` command in the README's sh blocks, with its
+    backslash continuations joined, as an argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("metabandit ")]
+
+
+def test_readme_commands_parse():
+    """The README's example commands use only flags and values the parser
+    accepts, so the docs cannot drift from the flags."""
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"run", "bound", "sweep"}
+    for argv in commands:
+        cli.parse(argv)
 
 
 def test_config_file_overrides_flags(tmp_path):

@@ -126,7 +126,8 @@ ENGINE_SPECS = {
         4, 2, 0.5, [0.0, 0.1, 0.0, 0.1], 1.0),
     # dense point mass: meta-ts draws nothing from its stream
     "linear-point-meta": lambda: hierarchy.linear_env(2, 0.0, 0.1, 1.0, mu_q=[0.3, -0.2]),
-    # collinear actions: forced exploration falls back to raw vectors 0.5 e_i
+    # collinear actions: every agent but ada-ts-forced, which refuses a set
+    # that cannot span R^d
     "linear-collinear-actions": lambda: hierarchy.linear_env(
         2, 1.0, 0.1, 1.0, actions=[[0.5, 0.0], [0.25, 0.0], [0.1, 0.0]]),
     # singular task prior: oracle-ts posteriors factor only with jitter
@@ -150,8 +151,8 @@ ENGINE_DIGESTS = {
     ("semibandit-zero-width-arms", False): "0dfad568238ecea3a5e036200ff532800b0f5f41d826a2dde13dfacad9dac1f9",
     ("linear-point-meta", True): "7e3928709fe928a9fd2013480dee6bba9614a038c6b3d06d5bcb95253c4e3b27",
     ("linear-point-meta", False): "4530ec0f86b30a056d25b90d4fbf7b27a3a39160e02217409ed8db96d97fcdd0",
-    ("linear-collinear-actions", True): "d04c39c66a04763bc627f56d4bd2bcad4135c874ef3bec080d3d194ec1638547",
-    ("linear-collinear-actions", False): "1d90beda05683043ff536a9b5df1129d0509256fc17c148120a954d86319bd63",
+    ("linear-collinear-actions", True): "80ea8c8083009bcb87dfbbf18cc181d7c94188d16c4cc46dbaf539398a520a2d",
+    ("linear-collinear-actions", False): "8b37f18181a601c6581b0aa6ed8406c20484bb2aecc422a0c303faf0b1f39f1c",
     ("linear-jitter", True): "cf99de25962165aebb0f4b5a6423599a191721bae035ff5d2352f2185fa2b2ea",
     ("linear-jitter", False): "b6305ed8877eb1f0f0b3ddc01718d72aab60f6f19fb76ec4a29dd326b55c06ce",
     ("mixture", True): "cd9dc7aa8e85085b327db29e53b72f4c590e3c80ebbd6a1aade1620c28de5d94",
@@ -163,8 +164,11 @@ ENGINE_DIGESTS = {
 def test_engine_reproduces_pinned_traces(name, common_tasks):
     spec = ENGINE_SPECS[name]()
     mixture = spec.family == hierarchy.BERNOULLI_MIXTURE
-    config = small_config(agent_names=MIXTURE_KINDS if mixture else GAUSSIAN_KINDS,
-                          spec=spec, runs=3, m=5, n=12, common_tasks=common_tasks)
+    kinds = MIXTURE_KINDS if mixture else GAUSSIAN_KINDS
+    if name == "linear-collinear-actions":
+        kinds = tuple(kind for kind in kinds if kind != "ada-ts-forced")
+    config = small_config(agent_names=kinds, spec=spec, runs=3, m=5, n=12,
+                          common_tasks=common_tasks)
     trace = harness.run_experiment(config)
     h = hashlib.sha256()
     for kind in config.agents:
@@ -316,11 +320,29 @@ def test_linear_runs_resample_action_sets():
     assert trace.task_hashes[("ada-ts", 0)] != trace.task_hashes[("ada-ts", 1)]
 
 
-def test_forced_linear_agent_runs_end_to_end():
-    spec = hierarchy.linear_env(2, sigma_q=1.0, sigma_0=0.1, noise_sigma=1.0)
-    config = small_config(agent_names=("ada-ts-forced",), spec=spec, runs=2, m=5, n=6)
-    trace = harness.run_experiment(config)
-    assert np.all(trace.instant["ada-ts-forced"] >= 0.0)
+def test_forced_linear_agent_runs_end_to_end(monkeypatch):
+    """On sampled action sets every action of ada-ts-forced, its opening
+    rounds included, is an index into each run's own set, and no instant
+    regret is negative."""
+    played = []
+    real_act = agents.GaussianFamilyAgent.act
+
+    def recording(agent, t):
+        action = real_act(agent, t)
+        played.append(action)
+        return action
+
+    monkeypatch.setattr(agents.GaussianFamilyAgent, "act", recording)
+    for dim in (2, 3):
+        played.clear()
+        spec = hierarchy.linear_env(dim, sigma_q=1.0, sigma_0=0.1, noise_sigma=1.0)
+        config = small_config(agent_names=("ada-ts-forced",), spec=spec, runs=4, m=5, n=6)
+        trace = harness.run_experiment(config)
+        assert len(played) == config.m * config.n
+        for action in played:
+            assert action.shape == (config.runs,) and action.dtype.kind == "i"
+            assert np.all((0 <= action) & (action < spec.num_arms))
+        assert np.all(trace.instant["ada-ts-forced"] >= 0.0)
 
 
 def test_mixture_family_runs_end_to_end():

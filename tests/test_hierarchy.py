@@ -149,6 +149,22 @@ def test_linear_optimal_action():
     assert task.optimal_value == pytest.approx(2.0, abs=1e-2)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+def test_linear_scores_are_each_rows_dot_product(dim):
+    """One stacked `dot` scores the action set with the bits of a per-row
+    `a @ theta`, so the recorded optimum is that of the per-row scores."""
+    rng = stream(8, dim)
+    for _ in range(20):
+        actions = rng.uniform(-0.5, 0.5, size=(5 * dim, dim))
+        actions /= np.maximum(1.0, np.linalg.norm(actions, axis=1))[:, None]
+        spec = hierarchy.linear_env(dim, 1.0, 1.0, 1.0, actions=actions)
+        for _ in range(10):
+            task = hierarchy.sample_task(spec, rng.standard_normal(dim), rng)
+            rows = np.array([float(a @ task.theta) for a in actions])
+            assert task.means.tobytes() == rows.tobytes()
+            assert task.optimal_value == rows.max()
+
+
 def test_mixture_task_draws_beta_means():
     spec = hierarchy.mixture_env(
         2, alphas=[[50, 50], [1, 1]], betas=[[1, 1], [50, 50]], weights=[0.5, 0.5]
@@ -217,6 +233,14 @@ def test_invalid_actions_rejected():
         hierarchy.instant_regret(semi, semi_task, (0, 1, 2))
     with pytest.raises(hierarchy.InvalidAction):
         hierarchy.instant_regret(semi, semi_task, (0, 0))
+    # a linear action is an index into the action set, never a feature vector
+    lin = hierarchy.linear_env(2, 1.0, 0.1, 1.0, actions=[[0.5, 0.0], [0.0, 0.5], [0.3, 0.3]])
+    lin_task = hierarchy.sample_task(lin, np.zeros(2), stream())
+    for action in (np.array([0.5, 0.0]), 0.0, 3):
+        with pytest.raises(hierarchy.InvalidAction):
+            hierarchy.realize_reward(lin, lin_task, action, stream())
+        with pytest.raises(hierarchy.InvalidAction):
+            hierarchy.instant_regret(lin, lin_task, action)
 
 
 VIEW_SPECS = {
@@ -229,7 +253,7 @@ VIEW_SPECS = {
 
 VIEW_ACTIONS = {
     "gaussian": [0, 2, np.int64(1)],
-    "linear": [0, 5, np.array([0.5, 0.0])],  # an index, or a raw feature vector
+    "linear": [0, 5, np.int64(3)],
     "semibandit": [(0, 3), np.array([1, 4]), (2, 4)],
     "mixture": [2, 0, np.int64(1)],
 }
