@@ -4,7 +4,8 @@ All policies share the same within-task machinery (conjugate Gaussian or Beta
 updates plus posterior sampling) and differ only in the prior they place on
 each new task:
 
-* ``ts``            widest sensible prior, identical for every task,
+* ``ts``            the meta-prior marginalized into the task prior, the
+                    same for every task: ada-ts that never learns,
 * ``oracle-ts``     the exact task prior centered at the true mu_star,
 * ``meta-ts``       a point estimate of mu_star sampled once per task,
 * ``ada-ts``        the meta-posterior marginalized into the task prior,
@@ -13,7 +14,10 @@ each new task:
 
 Between tasks the adaptive policies absorb the task's sufficient statistics
 into a meta-posterior over the task-prior mean (Gaussian families) or over
-the mixture component (Bernoulli mixture family).
+the mixture component (Bernoulli mixture family).  One belief class per
+representation holds the meta-posterior and the task posteriors alike:
+DiagonalTaskPosterior (K-armed and semibandit), FullTaskPosterior (linear)
+and MixtureTaskState (Bernoulli mixture).
 
 The state of every family (posteriors, meta-posteriors, sufficient
 statistics) has a leading shape `lead`: (runs,) for many runs in lockstep,
@@ -108,69 +112,23 @@ def scale_meta_prior(spec, scale):
 
 
 # ---------------------------------------------------------------------------
-# Meta-posterior over the task-prior mean (Gaussian families)
+# Meta-posteriors: the meta-prior, and the Gaussian updates between tasks
 # ---------------------------------------------------------------------------
-
-
-class DiagonalMetaPosterior:
-    """Per-arm Gaussian belief over the task-prior mean, variances as a vector."""
-
-    __slots__ = ("mean", "var")
-
-    def __init__(self, mean, var):
-        self.mean = np.array(mean, dtype=float)
-        self.var = np.array(var, dtype=float)
-
-    def copy(self):
-        return DiagonalMetaPosterior(self.mean, self.var)
-
-    def sample(self, rng):
-        return self.mean + np.sqrt(self.var) * rng.standard_normal(self.mean.shape[-1])
-
-
-class FullMetaPosterior:
-    """Dense Gaussian belief over the task-prior mean (linear family)."""
-
-    __slots__ = ("mean", "cov")
-
-    def __init__(self, mean, cov):
-        self.mean = np.array(mean, dtype=float)
-        self.cov = symmetrize(cov)
-
-    def sample(self, rng):
-        if not np.any(self.cov):
-            # Point mass: sample exactly, no jitter noise.  With a run axis
-            # the test covers all runs; they agree, since the meta-update
-            # keeps a covariance zero exactly when the meta-prior is zero.
-            return self.mean.copy()
-        return mvn_sample(self.mean, self.cov, rng)
 
 
 def initial_meta_posterior(spec, lead=()):
     """Meta-posterior before any task: the meta-prior itself, repeated over
-    the leading shape `lead`."""
+    the leading shape `lead`.  For the mixture family it is the prior
+    component weights, in a MixtureTaskState whose Beta tables are the
+    prior's."""
+    if spec.family == hierarchy.BERNOULLI_MIXTURE:
+        log_w = _log_weights(spec.mixture_weights)
+        log_w = _normalize_log_weights(np.broadcast_to(log_w, lead + log_w.shape))
+        return MixtureTaskState(log_w, spec.mixture_alphas, spec.mixture_betas)
     mean = np.broadcast_to(spec.mu_q, lead + spec.mu_q.shape)
     if spec.family == hierarchy.LINEAR:
-        return FullMetaPosterior(mean, np.broadcast_to(spec.sigma_q, lead + spec.sigma_q.shape))
-    return DiagonalMetaPosterior(mean, np.broadcast_to(np.diag(spec.sigma_q), mean.shape))
-
-
-def _diagonal_meta_update(meta, counts, sums, sigma0_var, noise_var):
-    """Absorb per-arm counts/sums; variance form so zero-variance arms and
-    zero-width task priors stay exact point masses."""
-    mean = meta.mean.copy()
-    var = meta.var.copy()
-    sigma0_var = np.broadcast_to(sigma0_var, var.shape)
-    # zero-variance arms are point masses: data cannot move them, and
-    # skipping them keeps the stored mean bit-exact
-    pulled = (counts > 0) & (var > 0)
-    if np.any(pulled):
-        obs_var = sigma0_var[pulled] + noise_var / counts[pulled]
-        obs_mean = sums[pulled] / counts[pulled]
-        denom = var[pulled] + obs_var
-        mean[pulled] = (mean[pulled] * obs_var + obs_mean * var[pulled]) / denom
-        var[pulled] = var[pulled] * obs_var / denom
-    return DiagonalMetaPosterior(mean, var)
+        return FullTaskPosterior(mean, spec.sigma_q)
+    return DiagonalTaskPosterior(mean, np.diag(spec.sigma_q))
 
 
 def end_task_gaussian(meta, summary, spec):
@@ -179,11 +137,24 @@ def end_task_gaussian(meta, summary, spec):
     Each pulled arm contributes an estimate sums/counts of mu_star's arm mean
     with variance sigma_0 + noise**2 / counts; unpulled arms are untouched.
     Semibandit tasks use the same update: their counts come from subset
-    membership, so each arm in a played subset counts as one pull.
+    membership, so each arm in a played subset counts as one pull.  The
+    update is in variance form, so zero-variance arms and zero-width task
+    priors stay exact point masses.
     """
-    return _diagonal_meta_update(
-        meta, summary.counts, summary.sums, np.diag(spec.sigma_0), spec.noise_sigma**2
-    )
+    out = meta.copy()
+    mean, var = out.mean, out.var
+    counts, sums = summary.counts, summary.sums
+    sigma0_var = np.broadcast_to(np.diag(spec.sigma_0), var.shape)
+    # zero-variance arms are point masses: data cannot move them, and
+    # skipping them keeps the stored mean bit-exact
+    pulled = (counts > 0) & (var > 0)
+    if np.any(pulled):
+        obs_var = sigma0_var[pulled] + spec.noise_sigma**2 / counts[pulled]
+        obs_mean = sums[pulled] / counts[pulled]
+        denom = var[pulled] + obs_var
+        mean[pulled] = (mean[pulled] * obs_var + obs_mean * var[pulled]) / denom
+        var[pulled] = var[pulled] * obs_var / denom
+    return out
 
 
 def end_task_linear(meta, summary, spec):
@@ -210,11 +181,11 @@ def end_task_linear(meta, summary, spec):
         eye + meta.cov @ prec_inc,
         np.concatenate([meta.cov, shifted[..., None]], axis=-1),
     )
-    return FullMetaPosterior(out[..., dim], out[..., :dim])
+    return FullTaskPosterior(out[..., dim], out[..., :dim])
 
 
 # ---------------------------------------------------------------------------
-# Within-task sufficient statistics and posteriors
+# Within-task sufficient statistics, and the Gaussian beliefs
 # ---------------------------------------------------------------------------
 
 
@@ -254,9 +225,10 @@ class LinearSummary:
 
 
 class DiagonalTaskPosterior:
-    """Independent per-arm Gaussian posterior, updated in variance form so
-    zero-variance arms remain exact.  `var` is repeated along any run axis
-    `mean` has."""
+    """Independent per-arm Gaussian belief, updated in variance form so
+    zero-variance arms remain exact: a task posterior over theta, or the
+    meta-posterior over the task-prior mean of the K-armed and semibandit
+    families.  `var` is repeated along any run axis `mean` has."""
 
     __slots__ = ("mean", "var")
 
@@ -286,7 +258,8 @@ class DiagonalTaskPosterior:
 
 
 class FullTaskPosterior:
-    """Dense Gaussian posterior in covariance form.
+    """Dense Gaussian belief in covariance form: a task posterior over theta,
+    or the linear family's meta-posterior over the task-prior mean.
 
     Each observation is folded in by a Sherman-Morrison rank-one update, so
     no update factors or inverts anything; the only factorization is the one
@@ -320,27 +293,32 @@ def begin_task(kind, meta, spec, rng, mu_star=None):
     """Task prior for a fresh task under the given policy, with the run axis
     of `meta` (and of `mu_star`) if it has one.
 
+    ts, ada-ts and ada-ts-forced play the meta-posterior widened by sigma_0;
+    ts never updates its meta-posterior, so it plays the meta-prior.
     Gaussian families only; the mixture analogue lives in MixtureFamilyAgent.
     """
     sigma_0 = spec.sigma_0
-    if kind.base in (ADA_TS, ADA_TS_FORCED):
-        if isinstance(meta, DiagonalMetaPosterior):
+    diagonal = isinstance(meta, DiagonalTaskPosterior)
+    if kind.base in (AGNOSTIC_TS, ADA_TS, ADA_TS_FORCED):
+        if diagonal:
             return DiagonalTaskPosterior(meta.mean, meta.var + np.diag(sigma_0))
         return FullTaskPosterior(meta.mean, meta.cov + sigma_0)
     if kind.base == META_TS:
-        center = meta.sample(rng)
+        if not diagonal and not np.any(meta.cov):
+            # Point mass: sample exactly, drawing nothing, where a Cholesky
+            # factor would add jitter noise.  With a run axis the test covers
+            # all runs; they agree, since the meta-update keeps a covariance
+            # zero exactly when the meta-prior is zero.
+            center = meta.mean
+        else:
+            center = meta.sample(rng)
     elif kind.base == ORACLE_TS:
         if mu_star is None:
             raise ValueError("oracle-ts needs the true mu_star")
         center = np.asarray(mu_star, dtype=float)
-    elif kind.base == AGNOSTIC_TS:
-        center = np.broadcast_to(spec.mu_q, meta.mean.shape)
-        if isinstance(meta, DiagonalMetaPosterior):
-            return DiagonalTaskPosterior(center, np.diag(spec.sigma_q) + np.diag(sigma_0))
-        return FullTaskPosterior(center, spec.sigma_q + sigma_0)
     else:
         raise UnknownAgent(f"{kind.base!r} has no Gaussian task prior")
-    if isinstance(meta, DiagonalMetaPosterior):
+    if diagonal:
         return DiagonalTaskPosterior(center, np.diag(sigma_0))
     return FullTaskPosterior(center, sigma_0)
 
@@ -487,35 +465,14 @@ def _log_weights(weights):
         return np.log(weights)
 
 
-class MixtureMetaPosterior:
-    """Categorical belief over which mixture component generates the tasks,
-    as `lead` + (C,) log-weights: one belief per run."""
-
-    __slots__ = ("log_weights", "alphas", "betas")
-
-    def __init__(self, log_weights, alphas, betas):
-        self.log_weights = _normalize_log_weights(np.array(log_weights, dtype=float))
-        self.alphas = np.asarray(alphas, dtype=float)
-        self.betas = np.asarray(betas, dtype=float)
-
-    @classmethod
-    def from_spec(cls, spec, lead=()):
-        log_w = _log_weights(spec.mixture_weights)
-        log_w = np.broadcast_to(log_w, lead + log_w.shape)
-        return cls(log_w, spec.mixture_alphas, spec.mixture_betas)
-
-    @property
-    def weights(self):
-        return np.exp(self.log_weights)
-
-
 def mixture_update(meta, summary):
     """Reweight components by the marginal likelihood of one task's data.
 
     ``summary`` is the task's ArmSummary of Bernoulli outcomes: per arm (and
     per run) ``sums`` successes in ``counts`` pulls.  Each component's
     marginal is a product of Beta-function ratios over arms, accumulated in
-    log space.
+    log space.  The result keeps the meta-posterior's Beta tables, the
+    prior's.
     """
     from scipy.special import betaln  # only this update needs scipy
 
@@ -525,15 +482,17 @@ def mixture_update(meta, summary):
         betaln(meta.alphas + ones, meta.betas + zeros) - betaln(meta.alphas, meta.betas),
         axis=-1,
     )
-    return MixtureMetaPosterior(
-        meta.log_weights + log_marginals, meta.alphas, meta.betas
+    return MixtureTaskState(
+        _normalize_log_weights(meta.log_weights + log_marginals), meta.alphas, meta.betas
     )
 
 
 class MixtureTaskState:
-    """Within-task mixture posterior: component weights plus per-component
-    Beta posteriors, all conditioned on the same task data.  With a run axis
-    the log-weights are (runs, C) and the Beta tables (runs, C, K)."""
+    """Mixture belief: component log-weights plus per-component Beta
+    posteriors, all conditioned on the same data.  Within a task it is the
+    task posterior; between tasks it holds the meta-posterior over which
+    component generates the tasks, with the prior's Beta tables.  With a run
+    axis the log-weights are (runs, C) and the Beta tables (runs, C, K)."""
 
     __slots__ = ("log_weights", "alphas", "betas")
 
@@ -542,6 +501,10 @@ class MixtureTaskState:
         shape = self.log_weights.shape + np.shape(alphas)[-1:]
         self.alphas = np.array(np.broadcast_to(alphas, shape), dtype=float, order="C")
         self.betas = np.array(np.broadcast_to(betas, shape), dtype=float, order="C")
+
+    @property
+    def weights(self):
+        return np.exp(self.log_weights)
 
     def update(self, arm, outcome):
         """Condition on one Bernoulli observation, or on one per run: the
@@ -659,8 +622,9 @@ class MixtureFamilyAgent:
 
     ``ada-ts`` keeps the full component posterior; ``meta-ts`` samples one
     component per task; ``oracle-ts`` pins the true component and
-    ``misassigned-ts`` pins a wrong one; plain ``ts`` restarts from the prior
-    weights every task.
+    ``misassigned-ts`` pins a wrong one; ``ts`` plays as ada-ts but never
+    updates its component posterior, so every task starts from the prior
+    weights.
 
     The agent plays the runs of `rng` in lockstep with the leading shape
     `lead` = `rng.lead`, as GaussianFamilyAgent does: `mu_star` holds each
@@ -677,7 +641,7 @@ class MixtureFamilyAgent:
         self.rng = rng
         self.lead = rng.lead
         self.true_component = None if mu_star is None else np.asarray(mu_star, dtype=int)
-        self.meta = MixtureMetaPosterior.from_spec(spec, self.lead)
+        self.meta = initial_meta_posterior(spec, self.lead)
         self._learns = kind.base in (META_TS, ADA_TS)
         self.state = None
         self.summary = None
@@ -689,18 +653,15 @@ class MixtureFamilyAgent:
         return log_w
 
     def begin_task(self, s, m):
-        if self.kind.base == ADA_TS:
+        if self.kind.base in (AGNOSTIC_TS, ADA_TS):
             log_w = self.meta.log_weights
         elif self.kind.base == META_TS:
             u = np.reshape([stream.random() for stream in self.rng.streams], self.lead)
             log_w = self._point_mass(hierarchy.pick_component(self.meta.weights, u))
         elif self.kind.base == ORACLE_TS:
             log_w = self._point_mass(self.true_component)
-        elif self.kind.base == MISASSIGNED_TS:
+        else:  # misassigned-ts
             log_w = self._point_mass((self.true_component + 1) % self.spec.num_components)
-        else:  # agnostic: the prior mixture, forgotten between tasks
-            log_w = np.broadcast_to(_log_weights(self.spec.mixture_weights),
-                                    self.meta.log_weights.shape)
         self.state = MixtureTaskState(
             log_w, self.spec.mixture_alphas, self.spec.mixture_betas
         )

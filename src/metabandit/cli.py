@@ -11,8 +11,9 @@ Subcommands:
 
 The argparse parser is the only declaration of the flags: each flag's type
 checks its own domain, config files are read through the same parser, and
-format_argv walks it.  Exit codes: 0 on success, 1 on runtime failure, 2 on
-usage errors.
+format_argv walks it.  One table, _FAMILY_FLAGS, says which environment
+flags each --env requires and reads; any other is refused.  Exit codes: 0
+on success, 1 on runtime failure, 2 on usage errors.
 """
 
 import argparse
@@ -110,14 +111,15 @@ def _build_parser():
         p.add_argument("--budget", type=_count, help="semibandit arms per round")
         p.add_argument("--sigma-q", type=_comma_list(_width), dest="sigma_q",
                        help="meta-prior width(s); per-arm comma list allowed")
-        p.add_argument("--sigma-0", type=_comma_list(_width), dest="sigma_0", default=(0.1,),
+        p.add_argument("--sigma-0", type=_comma_list(_width), dest="sigma_0",
                        help="task-prior width(s); per-arm comma list allowed")
-        p.add_argument("--noise", type=_noise, default=1.0)
+        p.add_argument("--noise", type=_noise)
         p.add_argument("--tasks", type=_count, required=True)
         p.add_argument("--rounds", type=_count, required=True)
-        p.add_argument("--mixture", type=_mixture,
-                       help="Beta components as alpha:beta;alpha:beta")
-        p.add_argument("--mixture-weights", type=_weights, dest="mixture_weights")
+        if need_run:  # bound has no mixture family
+            p.add_argument("--mixture", type=_mixture,
+                           help="Beta components as alpha:beta;alpha:beta")
+            p.add_argument("--mixture-weights", type=_weights, dest="mixture_weights")
         p.add_argument("--config", help="key=value file overriding flags")
         if need_run:
             p.add_argument("--runs", type=_count, required=True)
@@ -184,10 +186,30 @@ def parse(argv):
     return args
 
 
+# The flags each family reads, as dest -> whether it is required.  A flag of
+# this table that --env does not read is a usage error, not ignored.
+_FAMILY_FLAGS = {
+    hierarchy.GAUSSIAN: {"arms": True, "sigma_q": True, "sigma_0": False, "noise": False},
+    hierarchy.LINEAR: {"dim": True, "arms": False, "sigma_q": True, "sigma_0": False,
+                       "noise": False, "eta": False},
+    hierarchy.SEMIBANDIT: {"arms": True, "budget": True, "sigma_q": True, "sigma_0": False,
+                           "noise": False},
+    hierarchy.BERNOULLI_MIXTURE: {"arms": True, "mixture": True, "mixture_weights": False},
+}
+
+
 def _validate(parser, inv):
     """Rules that join several flags; each flag's own domain is its type."""
     if inv.command == "bound" and inv.env not in (hierarchy.LINEAR, hierarchy.SEMIBANDIT):
         parser.error(f"--env {inv.env} has no regret bound; use linear or semibandit")
+    reads = _FAMILY_FLAGS[inv.env]
+    for dest in dict.fromkeys(dest for flags in _FAMILY_FLAGS.values() for dest in flags):
+        flag = "--" + dest.replace("_", "-")
+        given = getattr(inv, dest, None) is not None
+        if given and dest not in reads:
+            parser.error(f"{flag} does not apply to --env {inv.env}")
+        if not given and reads.get(dest):
+            parser.error(f"--env {inv.env} requires {flag}")
     size_flag = "--dim" if inv.env == hierarchy.LINEAR else "--arms"
     for flag in ("--arms", "--dim"):
         if len(getattr(inv, flag[2:]) or ()) > 1:
@@ -197,35 +219,25 @@ def _validate(parser, inv):
                 parser.error(f"{flag} takes one value with --env {inv.env}; "
                              f"sweep lists {size_flag}")
     sizes = getattr(inv, size_flag[2:])
-    if not sizes:
-        parser.error(f"--env {inv.env} requires {size_flag}")
     if inv.env == hierarchy.LINEAR and inv.arms and inv.arms[0] < max(sizes) and (
             agents_mod.ADA_TS_FORCED in getattr(inv, "agents", ())
             or inv.command == "bound" and inv.eta is None):
         parser.error(f"--arms {inv.arms[0]} actions cannot span R^{max(sizes)} (--dim); "
                      f"ada-ts-forced explores a spanning set, and bound derives --eta from one")
-    if inv.env == hierarchy.SEMIBANDIT and inv.budget is None:
-        parser.error("--env semibandit requires --budget")
-    if inv.budget is not None and inv.arms and inv.budget > min(inv.arms):
+    if inv.budget is not None and inv.budget > min(inv.arms):
         parser.error("--budget must be between 1 and --arms")
     if inv.env == hierarchy.BERNOULLI_MIXTURE:
-        if inv.mixture is None:
-            parser.error("--env bernoulli-mixture requires --mixture")
-        if inv.sigma_q:
-            parser.error("--sigma-q does not apply to --env bernoulli-mixture")
         components = len(_parse_mixture(inv.mixture)[0])
         if inv.mixture_weights and len(inv.mixture_weights) != components:
             parser.error(
                 f"--mixture-weights needs one weight per --mixture component "
                 f"({components}), got {len(inv.mixture_weights)}"
             )
-    elif not inv.sigma_q:
-        parser.error(f"--env {inv.env} requires --sigma-q")
     else:
         # sweep's --sigma-q lists one width per cell and its --arms/--dim one
         # size per cell; run and bound have a single size
         cells = set(sizes)
-        per_coordinate = {"--sigma-0": inv.sigma_0}
+        per_coordinate = {"--sigma-0": inv.sigma_0 or ()}
         if inv.command != "sweep":
             per_coordinate["--sigma-q"] = inv.sigma_q
         for flag, widths in per_coordinate.items():
@@ -266,14 +278,16 @@ def build_spec(inv):
         table_b = np.tile(np.asarray(betas)[:, None], (1, k))
         return hierarchy.mixture_env(k, table_a, table_b, inv.mixture_weights)
     width_q = inv.sigma_q[0] if len(inv.sigma_q) == 1 else np.asarray(inv.sigma_q)
-    width_0 = inv.sigma_0[0] if len(inv.sigma_0) == 1 else np.asarray(inv.sigma_0)
+    sigma_0 = inv.sigma_0 or (0.1,)
+    width_0 = sigma_0[0] if len(sigma_0) == 1 else np.asarray(sigma_0)
+    noise = 1.0 if inv.noise is None else inv.noise
     if inv.env == "gaussian":
-        return hierarchy.gaussian_env(inv.arms[0], width_q, width_0, inv.noise)
+        return hierarchy.gaussian_env(inv.arms[0], width_q, width_0, noise)
     if inv.env == "linear":
         d = inv.dim[0]
         k = inv.arms[0] if inv.arms else 5 * d
-        return hierarchy.linear_env(d, width_q, width_0, inv.noise, num_arms=k)
-    return hierarchy.semibandit_env(inv.arms[0], inv.budget, width_q, width_0, inv.noise)
+        return hierarchy.linear_env(d, width_q, width_0, noise, num_arms=k)
+    return hierarchy.semibandit_env(inv.arms[0], inv.budget, width_q, width_0, noise)
 
 
 def build_config(inv):

@@ -153,18 +153,31 @@ def _sample_world(config, label, runs):
     return _World(spec, np.stack(mu_stars), stacked, digests)
 
 
-def _play(config, kind, runs, spec, agent, tasks, rewards):
-    """Play the task sequence; instant regret (len(runs), m, n).
+def _run_agent(config, kind, runs, world):
+    """Instant regret (len(runs), m, n) of one agent kind over `runs`, given
+    their stacked world; one agent plays all of them in lockstep.
 
-    `agent`, `tasks` and `rewards` cover all of `runs` at once, with a run
-    axis.  A float overflow or invalid operation fails the run instead of
-    reaching its regret; a failure in task set-up names round 0.
+    A float overflow or invalid operation fails the run instead of reaching
+    its regret.  The error names the agent, the runs, the task and the
+    round: a failure in task set-up names round 0, and one while the agent
+    is built names task 0.
     """
+
+    def lockstep(purpose):
+        streams = [_stream(config, purpose, kind.label, run) for run in runs]
+        return RunStreams(streams, block=config.n)
+
+    if world.spec.family == hierarchy.BERNOULLI_MIXTURE:
+        agent_class = agents_mod.MixtureFamilyAgent
+    else:
+        agent_class = agents_mod.GaussianFamilyAgent
+    spec, rewards = world.spec, lockstep("rewards")
     instant = np.zeros((len(runs), config.m, config.n))
     s = t = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for s, task in enumerate(tasks, start=1):
+            agent = agent_class(kind, spec, lockstep("agent"), world.mu_star)
+            for s, task in enumerate(world.tasks, start=1):
                 t = 0
                 agent.begin_task(s, config.m)
                 for t in range(1, config.n + 1):
@@ -179,22 +192,6 @@ def _play(config, kind, runs, spec, agent, tasks, rewards):
             f"run failed at agent={kind.label} run={where} task={s} round={t}: {err}"
         ) from err
     return instant
-
-
-def _run_agent(config, kind, runs, world):
-    """Instant regret (len(runs), m, n) of one agent kind over `runs`, given
-    their stacked world; one agent plays all of them in lockstep."""
-
-    def lockstep(purpose):
-        streams = [_stream(config, purpose, kind.label, run) for run in runs]
-        return RunStreams(streams, block=config.n)
-
-    if world.spec.family == hierarchy.BERNOULLI_MIXTURE:
-        agent_class = agents_mod.MixtureFamilyAgent
-    else:
-        agent_class = agents_mod.GaussianFamilyAgent
-    agent = agent_class(kind, world.spec, lockstep("agent"), world.mu_star)
-    return _play(config, kind, runs, world.spec, agent, world.tasks, lockstep("rewards"))
 
 
 def run_single(config, kind, run):

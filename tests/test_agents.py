@@ -53,12 +53,40 @@ def test_first_task_prior_is_meta_prior_plus_task_width():
     assert np.allclose(post.var, 0.25 + 0.01)
 
 
-def test_agnostic_prior_ignores_meta_state():
-    spec = gauss_spec(sigma_q=0.5, sigma_0=0.1)
-    meta = agents.DiagonalMetaPosterior([5.0, 5.0], [1e-9, 1e-9])
-    post = agents.begin_task(agents.AgentKind("ts"), meta, spec, RngStream(0))
-    assert np.allclose(post.mean, [0.0, 0.0])
-    assert np.allclose(post.var, 0.26)
+@pytest.mark.parametrize("family", ["gaussian", "semibandit", "linear", "bernoulli-mixture"])
+def test_agnostic_meta_posterior_stays_the_meta_prior(family):
+    """ts takes ada-ts's task prior from a meta-posterior it never updates:
+    after tasks with data it is still initial_meta_posterior, bit for bit."""
+    runs, lead = 3, (3,)
+    data = np.random.default_rng(23)
+    if family == "bernoulli-mixture":
+        spec = hierarchy.mixture_env(2, alphas=[[9, 1], [1, 9]], betas=[[1, 9], [9, 1]],
+                                     weights=[0.3, 0.7])
+        agent_class, mu_star = agents.MixtureFamilyAgent, np.array([0, 1, 1])
+    else:
+        spec = {"gaussian": hierarchy.gaussian_env(3, 0.5, [0.1, 0.0, 0.2], 1.0),
+                "semibandit": hierarchy.semibandit_env(4, 2, 0.5, 0.1, 1.0),
+                "linear": hierarchy.linear_env(2, 1.0, 0.1, 1.0, num_arms=6)}[family]
+        if family == "linear":
+            spec = spec.with_actions(data.uniform(-0.5, 0.5, (runs, 6, 2)))
+        agent_class = agents.GaussianFamilyAgent
+        mu_star = data.standard_normal((runs, spec.param_dim))
+    rng = RunStreams([RngStream(6, r) for r in range(runs)], block=4)
+    agent = agent_class(agents.AgentKind("ts"), spec, rng, mu_star)
+    for s in range(1, 4):
+        agent.begin_task(s, 3)
+        for t in range(1, 6):
+            action = agent.act(t)
+            if family == "bernoulli-mixture":
+                reward = data.integers(0, 2, runs).astype(float)
+            else:
+                reward = data.standard_normal(np.shape(action))
+            agent.observe(action, reward)
+        agent.end_task()
+    prior = agents.initial_meta_posterior(spec, lead)
+    assert type(agent.meta) is type(prior)
+    for name in prior.__slots__:
+        assert getattr(agent.meta, name).tobytes() == getattr(prior, name).tobytes()
 
 
 def test_oracle_prior_centres_on_mu_star():
@@ -75,7 +103,7 @@ def test_oracle_prior_centres_on_mu_star():
 
 def test_degenerate_meta_ts_equals_ada_ts():
     spec = gauss_spec()
-    meta = agents.DiagonalMetaPosterior([0.7, -0.1], [0.0, 0.0])
+    meta = agents.DiagonalTaskPosterior([0.7, -0.1], [0.0, 0.0])
     meta_post = agents.begin_task(agents.AgentKind("meta-ts"), meta, spec, RngStream(0))
     ada_post = agents.begin_task(agents.AgentKind("ada-ts"), meta, spec, RngStream(1))
     assert np.array_equal(meta_post.mean, ada_post.mean)
@@ -631,13 +659,13 @@ def outcomes(history, num_arms=1):
 
 
 def test_mixture_update_empty_history_identity():
-    meta = agents.MixtureMetaPosterior.from_spec(mixture_spec())
+    meta = agents.initial_meta_posterior(mixture_spec())
     out = agents.mixture_update(meta, outcomes([]))
     assert np.allclose(out.weights, meta.weights)
 
 
 def test_mixture_update_matches_marginal_likelihood():
-    meta = agents.MixtureMetaPosterior.from_spec(mixture_spec())
+    meta = agents.initial_meta_posterior(mixture_spec())
     out = agents.mixture_update(meta, outcomes([(0, 1)] * 10))
     # marginal of ten straight successes under Beta(a, b):
     # prod_{r<10} (a + r) / (a + b + r)
@@ -655,7 +683,7 @@ def test_mixture_update_matches_marginal_likelihood():
 
 def test_mixture_update_symmetric_components_stay_even():
     spec = hierarchy.mixture_env(2, alphas=[[2, 2], [2, 2]], betas=[[3, 3], [3, 3]])
-    meta = agents.MixtureMetaPosterior.from_spec(spec)
+    meta = agents.initial_meta_posterior(spec)
     out = agents.mixture_update(meta, outcomes([(0, 1), (1, 0), (0, 0)], 2))
     assert np.allclose(out.weights, [0.5, 0.5], atol=1e-12)
 
@@ -663,7 +691,7 @@ def test_mixture_update_symmetric_components_stay_even():
 def test_within_task_weights_match_end_of_task_marginals():
     """Sequential predictive reweighting and the one-shot marginal agree."""
     spec = mixture_spec(num_arms=2)
-    meta = agents.MixtureMetaPosterior.from_spec(spec)
+    meta = agents.initial_meta_posterior(spec)
     history = [(0, 1), (1, 0), (0, 1), (0, 0), (1, 1)]
     state = agents.MixtureTaskState(meta.log_weights, meta.alphas, meta.betas)
     for arm, outcome in history:
@@ -674,7 +702,7 @@ def test_within_task_weights_match_end_of_task_marginals():
 
 def test_within_task_beta_posteriors_accumulate_counts():
     spec = mixture_spec(num_arms=2)
-    meta = agents.MixtureMetaPosterior.from_spec(spec)
+    meta = agents.initial_meta_posterior(spec)
     state = agents.MixtureTaskState(meta.log_weights, meta.alphas, meta.betas)
     state.update(0, 1)
     state.update(0, 0)
@@ -715,7 +743,7 @@ def test_true_component_weight_grows_with_task_length():
         for rep in range(200):
             rng = RngStream(100 + rep, n)
             task = hierarchy.sample_task(spec, 0, rng)
-            meta = agents.MixtureMetaPosterior.from_spec(spec)
+            meta = agents.initial_meta_posterior(spec)
             history = [
                 (arm, hierarchy.realize_reward(spec, task, arm, rng))
                 for arm in np.arange(n) % 2

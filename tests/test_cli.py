@@ -142,7 +142,7 @@ def test_forced_exploration_without_a_spanning_set_exits_2(tmp_path, capsys, com
 
 
 MIXTURE_FLAGS = {"--env": "bernoulli-mixture", "--arms": "3", "--mixture": "9:1;1:9",
-                 "--sigma-q": None}
+                 "--sigma-q": None, "--sigma-0": None, "--noise": None}
 
 
 @pytest.mark.parametrize("family,agent", [
@@ -173,10 +173,7 @@ BOUND_ARGV = ["bound", "--env", "linear", "--dim", "2", "--sigma-q", "1",
     ("--arms", "1"),  # no action set of 1 spans R^2, so no --eta to derive
 ])
 def test_bound_invalid_input_exits_2(capsys, flag, value):
-    argv = BOUND_ARGV + [flag, value]
-    if value == "bernoulli-mixture":
-        argv += ["--arms", "2", "--mixture", "9:1;1:9"]
-    assert cli.main(argv) == 2
+    assert cli.main(BOUND_ARGV + [flag, value]) == 2
     assert flag in capsys.readouterr().err.partition("error:")[2]
 
 
@@ -246,6 +243,22 @@ def test_sigma_q_on_mixture_exits_2_and_writes_nothing(tmp_path, capsys, command
     assert cli.main(argv) == 2
     assert "--sigma-q" in capsys.readouterr().err.partition("error:")[2]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,env,flag,value", [
+    ("run", "gaussian", "--budget", "1"), ("run", "gaussian", "--dim", "3"),
+    ("run", "gaussian", "--mixture", "9:1;1:9"), ("run", "linear", "--budget", "1"),
+    ("run", "bernoulli-mixture", "--noise", "5"),
+    ("run", "bernoulli-mixture", "--sigma-0", "0.3"),
+    ("sweep", "bernoulli-mixture", "--noise", "5"), ("bound", "semibandit", "--eta", "0.5"),
+])
+def test_flag_the_family_does_not_read_exits_2_and_writes_nothing(tmp_path, capsys, command,
+                                                                  env, flag, value):
+    """A flag is never ignored: one that --env does not read is refused."""
+    assert cli.main(minimal_argv(command, tmp_path, env) + [flag, value]) == 2
+    err = capsys.readouterr().err.partition("error:")[2]
+    assert f"{flag} does not apply to --env {env}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_zero_mixture_weight_runs_without_runtime_warning(tmp_path, capsys):
@@ -362,41 +375,67 @@ def test_config_file_bad_line_is_usage_error(tmp_path):
     assert err.value.code == 2
 
 
-def minimal_argv(command, tmp_path):
-    """A valid invocation that sets only the required flags."""
+def minimal_argv(command, tmp_path, env=None):
+    """A valid invocation of the family `env` (linear for bound, gaussian
+    otherwise) that sets only the required flags."""
+    env = env or ("linear" if command == "bound" else "gaussian")
+    argv = [command, "--env", env, *REQUIRED_FAMILY_FLAGS[env]]
     if command == "bound":
-        return BOUND_ARGV
-    return [command, "--env", "gaussian", "--arms", "2", "--sigma-q", "0.5",
-            "--tasks", "1", "--rounds", "2", "--runs", "1", "--agents", "ts",
-            "--out", str(tmp_path / "out")]
+        return argv + ["--tasks", "2", "--rounds", "3"]
+    return argv + ["--tasks", "1", "--rounds", "2", "--runs", "1", "--agents", "ts",
+                   "--out", str(tmp_path / "out")]
 
 
-def every_flag_argv(command):
-    """A valid invocation that sets every flag of the subcommand but --config."""
-    argv = [command, "--env", "semibandit", "--arms", "4", "--dim", "3", "--budget", "2",
-            "--sigma-q", "0.5", "--sigma-0", "0.2", "--noise", "2", "--tasks", "3",
-            "--rounds", "4", "--mixture", "9:1;1:9", "--mixture-weights", "0.25,0.75",
+# Every flag each family reads, and the required ones.
+EVERY_FAMILY_FLAG = {
+    "gaussian": ["--arms", "4", "--sigma-q", "0.5", "--sigma-0", "0.2", "--noise", "2"],
+    "linear": ["--dim", "3", "--arms", "6", "--sigma-q", "0.5", "--sigma-0", "0.2",
+               "--noise", "2"],
+    "semibandit": ["--arms", "4", "--budget", "2", "--sigma-q", "0.5", "--sigma-0", "0.2",
+                   "--noise", "2"],
+    "bernoulli-mixture": ["--arms", "4", "--mixture", "9:1;1:9",
+                          "--mixture-weights", "0.25,0.75"],
+}
+REQUIRED_FAMILY_FLAGS = {
+    "gaussian": ["--arms", "2", "--sigma-q", "0.5"],
+    "linear": ["--dim", "2", "--sigma-q", "1"],
+    "semibandit": ["--arms", "4", "--budget", "2", "--sigma-q", "0.5"],
+    "bernoulli-mixture": ["--arms", "2", "--mixture", "9:1;1:9"],
+}
+COMMANDS = ["run", "bound", "sweep"]
+FAMILIES = {"run": list(EVERY_FAMILY_FLAG), "sweep": list(EVERY_FAMILY_FLAG),
+            "bound": ["linear", "semibandit"]}
+
+
+def every_flag_argv(command, env):
+    """A valid invocation of the family `env` that sets every flag the family
+    reads and every other flag of the subcommand but --config."""
+    argv = [command, "--env", env, *EVERY_FAMILY_FLAG[env], "--tasks", "3", "--rounds", "4",
             "--seed", "5"]
     if command == "bound":
-        return argv + ["--delta", "0.01", "--eta", "0.5"]
+        return argv + ["--delta", "0.01"] + (["--eta", "0.5"] if env == "linear" else [])
     return argv + ["--runs", "2", "--agents", "ts,ada-ts", "--common-tasks", "false",
                    "--out", "elsewhere", "--threads", "3"]
 
 
-COMMANDS = ["run", "bound", "sweep"]
-
-
 @pytest.mark.parametrize("command", COMMANDS)
 def test_config_keys_are_the_long_flags(tmp_path, capsys, command):
+    """One invocation per family sets each flag that family reads; together
+    they set every flag, and each round-trips through a config file."""
     with pytest.raises(SystemExit):
         cli.parse([command, "--help"])
     flags = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
-    full = cli.parse(every_flag_argv(command))
-    argv = cli.format_argv(full)
-    assert set(argv[1::2]) == flags - {"--help", "--config"}
-    cfg = tmp_path / "all.cfg"
-    cfg.write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in zip(argv[1::2], argv[2::2])))
-    assert cli.parse(minimal_argv(command, tmp_path) + ["--config", str(cfg)]) == full
+    covered = set()
+    for env in FAMILIES[command]:
+        full = cli.parse(every_flag_argv(command, env))
+        argv = cli.format_argv(full)
+        covered |= set(argv[1::2])
+        cfg = tmp_path / f"{env}.cfg"
+        cfg.write_text("".join(f"{flag[2:]} = {value}\n"
+                               for flag, value in zip(argv[1::2], argv[2::2])))
+        assert cli.parse(minimal_argv(command, tmp_path, env) + ["--config", str(cfg)]) == full
+    assert covered == flags - {"--help", "--config"}
+    cfg = tmp_path / "bad.cfg"
     for key in ("help", "config", "sigma_q"):
         cfg.write_text(f"{key} = 1\n")
         with pytest.raises(SystemExit) as err:
@@ -404,9 +443,12 @@ def test_config_keys_are_the_long_flags(tmp_path, capsys, command):
         assert err.value.code == 2
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("line,flag", [
-    ("env = foo", "--env"), ("tasks = 0", "--tasks"), ("mixture = a:1", "--mixture"),
+@pytest.mark.parametrize("command,line,flag", [
+    pytest.param(command, line, flag, id=f"{line}-{flag}-{command}")
+    for line, flag in [("env = foo", "--env"), ("tasks = 0", "--tasks"),
+                       ("mixture = a:1", "--mixture")]
+    for command in COMMANDS
+    if not (command == "bound" and flag == "--mixture")  # bound has no mixture family
 ])
 def test_config_values_pass_the_flag_checks(tmp_path, capsys, command, line, flag):
     cfg = tmp_path / "bad.cfg"

@@ -384,3 +384,13 @@ def test_failure_diagnostic_names_the_unit(monkeypatch):
     monkeypatch.setattr(agents.GaussianFamilyAgent, "begin_task", failing_setup)
     with pytest.raises(RuntimeError, match="agent=ada-ts run=0 task=2 round=0"):
         harness.run_single(config, config.agents[0], 0)
+
+
+def test_failure_while_the_agent_is_built_names_the_unit():
+    """Forced exploration refuses a collinear action set when the agent is
+    built; the error names the agent and runs like any other run failure."""
+    spec = hierarchy.linear_env(2, 1.0, 0.1, 1.0, actions=[[0.5, 0.0], [0.25, 0.0], [0.1, 0.0]])
+    config = small_config(agent_names=("ada-ts-forced",), spec=spec)
+    with pytest.raises(RuntimeError, match=r"run failed at agent=ada-ts-forced run=0\.\.2 "
+                                           r"task=0 round=0: the 3 actions do not span R\^2"):
+        harness.run_experiment(config)
