@@ -20,14 +20,19 @@ DiagonalTaskPosterior (K-armed and semibandit), FullTaskPosterior (linear)
 and MixtureTaskState (Bernoulli mixture).
 
 The state of every family (posteriors, meta-posteriors, sufficient
-statistics) has a leading shape `lead`: (runs,) for many runs in lockstep,
-and () for one run, which is the same code on a stack of one run.  Each run
-still draws from its own stream: Gaussian draws come in blocks
-(gauss_core.RunStreams), while a mixture agent's draws are made run by run,
-because a Beta draw uses a variable amount of stream.
+statistics) has a leading shape `lead`: (rows,) for many rows in lockstep,
+and () for one run, which is the same code on a stack of one run.  A row is
+one run of one agent; agents that differ only in their meta-prior width
+(ada-ts, ada-ts+ and ada-ts-) play as one agent over (agent, run) rows, each
+row with its own width.  Policies that neither learn between tasks nor draw
+at task start (`plays_tasks_at_once`) play all m tasks of a run at once,
+with the leading shape (rows, m).  Each row still draws from its own stream:
+Gaussian draws come in blocks (gauss_core.RunStreams), while a mixture
+agent's draws are made run by run, because a Beta draw uses a variable
+amount of stream.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import numpy as np
 
 from . import hierarchy
@@ -96,19 +101,14 @@ def require_family(kind, family):
         raise UnknownAgent(f"agent {kind.label!r} is not defined for the {family} family")
 
 
-def scale_meta_prior(spec, scale):
-    """Rescale the meta-prior width by `scale` (covariance by scale**2).
-
-    Models an agent whose believed meta-prior is too wide (scale > 1) or too
-    narrow (scale < 1); the environment itself is unchanged.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if spec.sigma_q is None:
-        raise ValueError(f"family {spec.family!r} has no Gaussian meta-prior to scale")
-    if scale == 1.0:
-        return spec
-    return replace(spec, sigma_q=scale**2 * spec.sigma_q)
+def plays_tasks_at_once(kind, family):
+    """Whether all m tasks of a run can be played at once, along a task axis
+    of the leading shape.  Gaussian-family ts and oracle-ts neither learn
+    between tasks nor draw at task start, so every task starts from the same
+    state and its draws follow the previous task's in the run's streams.  A
+    mixture agent's Beta draws use a variable amount of stream, so its tasks
+    stay one after another."""
+    return kind.base in (AGNOSTIC_TS, ORACLE_TS) and family != hierarchy.BERNOULLI_MIXTURE
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +116,29 @@ def scale_meta_prior(spec, scale):
 # ---------------------------------------------------------------------------
 
 
-def initial_meta_posterior(spec, lead=()):
+def initial_meta_posterior(spec, lead=(), scale=1.0):
     """Meta-posterior before any task: the meta-prior itself, repeated over
     the leading shape `lead`.  For the mixture family it is the prior
     component weights, in a MixtureTaskState whose Beta tables are the
-    prior's."""
+    prior's.
+
+    `scale` rescales a Gaussian meta-prior's width (its covariance by
+    scale * scale), by one factor or by one per row of lead's first axis.
+    It models an agent whose believed meta-prior is too wide (scale > 1) or
+    too narrow (scale < 1); the environment itself is unchanged.
+    """
+    scale = np.asarray(scale, dtype=float)
     if spec.family == hierarchy.BERNOULLI_MIXTURE:
+        if np.any(scale != 1.0):
+            raise ValueError(f"family {spec.family!r} has no Gaussian meta-prior to scale")
         log_w = _log_weights(spec.mixture_weights)
         log_w = _normalize_log_weights(np.broadcast_to(log_w, lead + log_w.shape))
         return MixtureTaskState(log_w, spec.mixture_alphas, spec.mixture_betas)
     mean = np.broadcast_to(spec.mu_q, lead + spec.mu_q.shape)
+    factor = (scale * scale).reshape(scale.shape + (1,) * (len(lead) + 1 - scale.ndim))
     if spec.family == hierarchy.LINEAR:
-        return FullTaskPosterior(mean, spec.sigma_q)
-    return DiagonalTaskPosterior(mean, np.diag(spec.sigma_q))
+        return FullTaskPosterior(mean, factor[..., None] * spec.sigma_q)
+    return DiagonalTaskPosterior(mean, factor * np.diag(spec.sigma_q))
 
 
 def end_task_gaussian(meta, summary, spec):
@@ -328,15 +338,21 @@ def ts_select(posterior, actions, rng):
 
     ``actions`` is the arm count (int), the feature matrix (linear, with a
     leading run axis when each run has its own), or a (num_arms, budget) pair
-    (semibandit).  Ties go to the lowest index.  Per run of the posterior's
-    leading shape, the action is an index or a sorted int array of arms.
+    (semibandit).  Ties go to the lowest index.  Per row of the posterior's
+    leading shape, the action is an index or a sorted int array of arms; a
+    per-run feature matrix serves every task of its run when that shape is
+    (runs, m).
     """
     theta = posterior.sample(rng)
     if isinstance(actions, tuple):
         _, budget = actions
         return hierarchy.top_subset(theta, budget)
     if not isinstance(actions, (int, np.integer)):
-        theta = matvec(np.asarray(actions), theta)
+        actions = np.asarray(actions)
+        if 2 < actions.ndim <= theta.ndim:
+            actions = actions.reshape(actions.shape[:1] + (1,) * (theta.ndim - 2)
+                                      + actions.shape[1:])
+        theta = matvec(actions, theta)
     return np.argmax(theta, axis=-1)
 
 
@@ -419,14 +435,6 @@ def choose_spanning_actions(actions, floor=1e-6):
     return chosen, eta
 
 
-def spanning_strength(features):
-    """Smallest eigenvalue of sum_i a_i a_i^T for the given exploration
-    actions; feeds the per-round exploration strength into the bounds."""
-    features = np.asarray(features, dtype=float)
-    gram = features.T @ features
-    return float(np.linalg.eigvalsh(gram)[0])
-
-
 def opening_actions(spec):
     """The actions forced exploration plays, one per opening round: every
     arm (K-armed), covering subsets (semibandit), or the rows of the action
@@ -441,12 +449,6 @@ def opening_actions(spec):
     if spec.family == hierarchy.SEMIBANDIT:
         return covering_subsets(spec.num_arms, spec.budget)
     return list(range(spec.num_arms))
-
-
-def forced_exploration_plan(s, m, spec):
-    """Opening-round actions for task s (1-based): `opening_actions`, or
-    none if s is not an exploring task."""
-    return opening_actions(spec) if s in exploring_tasks(m) else []
 
 
 # ---------------------------------------------------------------------------
@@ -552,25 +554,32 @@ def mixture_ts_select(state, rng):
 class GaussianFamilyAgent:
     """One policy's state across a run of tasks (Gaussian reward families).
 
-    The agent plays the runs of `rng` in lockstep with the leading shape
-    `lead` = `rng.lead`: (R,) for a RunStreams of R runs, () for an
-    RngStream.  `mu_star`, all state and, when each run has its own, the
-    linear action set have that leading shape; so has each action of `act`:
-    an arm or a linear index into the run's action set, or a sorted int
-    array of arms.  `observe` takes an action and its reward, or the array
-    of its arms' rewards.  Each run uses its own stream as it would alone.
+    The agent plays the rows of `rng` in lockstep with the leading shape
+    `lead` = `rng.lead`: (R,) for a RunStreams of R rows, (R, m) for one
+    with a task axis, whose tasks are all played at once (see
+    `plays_tasks_at_once`), and () for an RngStream.  A row is one run, of
+    this agent or, when `scale` is given, of one of the agents that share its
+    base: `scale` holds one meta-prior width per row of lead's first axis
+    and stands in for `kind.scale`, so ada-ts, ada-ts+ and ada-ts- play as
+    one agent.  `mu_star` and all state have the leading shape; so has each
+    action of `act`: an arm or a linear index into the run's action set, or
+    a sorted int array of arms.  A linear action set is shared or has one
+    (K, d) set per row of lead's first axis.  `observe` takes an action and
+    its reward, or the array of its arms' rewards.  Each row uses its own
+    stream as it would alone; `begin_task` takes the (first) task number.
     ada-ts-forced works out its `opening_actions` once, when it is built: a
     linear action set that cannot span R^d raises ValueError there.
     """
 
-    def __init__(self, kind, spec, rng, mu_star=None):
+    def __init__(self, kind, spec, rng, mu_star=None, scale=None):
         require_family(kind, spec.family)
         self.kind = kind
-        self.spec = scale_meta_prior(spec, kind.scale) if kind.scale != 1.0 else spec
+        self.spec = spec
         self.rng = rng
         self.lead = rng.lead
         self.mu_star = mu_star
-        self.meta = initial_meta_posterior(self.spec, self.lead)
+        self.meta = initial_meta_posterior(
+            spec, self.lead, kind.scale if scale is None else scale)
         self.noise_var = spec.noise_sigma**2
         self._learns = kind.base in (META_TS, ADA_TS, ADA_TS_FORCED)
         if spec.family == hierarchy.LINEAR:
@@ -631,17 +640,18 @@ class MixtureFamilyAgent:
     run's component, the component log-weights are lead + (C,), the Beta
     tables lead + (C, K), and `act` returns one arm per run.  Only the
     agent's draws are made run by run, from each run's own stream in the
-    order it would use alone.
+    order it would use alone.  `scale`, as for GaussianFamilyAgent, must be
+    1: a mixture meta-prior has no width to rescale.
     """
 
-    def __init__(self, kind, spec, rng, mu_star=None):
+    def __init__(self, kind, spec, rng, mu_star=None, scale=None):
         require_family(kind, spec.family)
         self.kind = kind
         self.spec = spec
         self.rng = rng
         self.lead = rng.lead
         self.true_component = None if mu_star is None else np.asarray(mu_star, dtype=int)
-        self.meta = initial_meta_posterior(spec, self.lead)
+        self.meta = initial_meta_posterior(spec, self.lead, 1.0 if scale is None else scale)
         self._learns = kind.base in (META_TS, ADA_TS)
         self.state = None
         self.summary = None

@@ -141,7 +141,9 @@ def _build_parser():
     bound_p.add_argument("--delta", type=_level, help="failure level; default 1/rounds**2")
     bound_p.add_argument("--eta", type=_positive,
                          help="exploration strength; derived from --seed's run-0 action set if omitted")
-    bound_p.add_argument("--seed", type=int, default=0)
+    bound_p.add_argument("--seed", type=int,
+                         help="seed of the run-0 action set that a linear bound without "
+                              "--eta derives it from; default 0")
 
     sweep_p = sub.add_parser("sweep", help="cross-product of runs over sigma-q and arms/dim")
     add_env_flags(sweep_p, need_run=True)
@@ -202,6 +204,10 @@ def _validate(parser, inv):
     """Rules that join several flags; each flag's own domain is its type."""
     if inv.command == "bound" and inv.env not in (hierarchy.LINEAR, hierarchy.SEMIBANDIT):
         parser.error(f"--env {inv.env} has no regret bound; use linear or semibandit")
+    if inv.command == "bound" and inv.seed is not None and (
+            inv.env != hierarchy.LINEAR or inv.eta is not None):
+        parser.error("--seed applies to a linear bound without --eta only: "
+                     "it seeds the action set that --eta is derived from")
     reads = _FAMILY_FLAGS[inv.env]
     for dest in dict.fromkeys(dest for flags in _FAMILY_FLAGS.values() for dest in flags):
         flag = "--" + dest.replace("_", "-")
@@ -328,7 +334,7 @@ def _derived_eta(inv):
     """Exploration strength of the spanning actions a run-0 experiment would
     pick from its sampled action set."""
     spec = build_spec(inv)
-    stream = RngStream(inv.seed, harness._stream_id("tasks", "", 0))
+    stream = RngStream(inv.seed or 0, harness._stream_id("tasks", "", 0))
     run_spec = harness._sample_run_actions(spec, stream)
     return agents_mod.choose_spanning_actions(run_spec.actions)[1]
 

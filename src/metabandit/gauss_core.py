@@ -141,23 +141,29 @@ class RngStream:
 
 
 class RunStreams:
-    """One RngStream per run, drawn from in lockstep.
+    """One RngStream per row, drawn from in lockstep.
 
     `standard_normal(size)` and `random(size)` return one draw of shape
-    `size` per run, stacked as (runs, *size).  The draws come from blocks of
-    `block` draws that each stream makes in one call.  A block draw consumes
-    a stream exactly as the same draws made one by one, so every run sees the
-    numbers it would see alone, however the block boundaries fall, as long as
-    all draws from one stream have one kind and shape.  A request of another
-    kind or shape while a block still holds draws would reorder the streams
-    and raises ValueError.  Draws whose consumption varies (Beta variates)
-    cannot be blocked: take them from each of `streams` in turn.  `lead` is
-    the leading shape, (runs,), of state played from it.
+    `size` per row, stacked as lead + size.  The leading shape `lead` of
+    state played from it is (rows,), or (rows, tasks) with a task axis.  A
+    row is one run of one agent; a batch of agents that play together has
+    one row per (agent, run).  The draws come from blocks of `block` draws
+    per row, or of `tasks` * `block` with a task axis, that each stream makes
+    in one call.  A block draw consumes a stream exactly as the same draws
+    made one by one, so every row sees the numbers it would see alone,
+    however the block boundaries fall, as long as all draws from one stream
+    have one kind and shape.  With a task axis, the draw of (row, task s,
+    i-th call) is the stream's draw number (s - 1) * block + i: the tasks of
+    a run that draws `block` times per task and nothing in between, played
+    at once.  A request of another kind or shape while a block still holds
+    draws would reorder the streams and raises ValueError.  Draws whose
+    consumption varies (Beta variates) cannot be blocked: take them from each
+    of `streams` in turn.
     """
 
-    def __init__(self, streams, block):
+    def __init__(self, streams, block, tasks=None):
         self.streams = tuple(streams)
-        self.lead = (len(self.streams),)
+        self.lead = (len(self.streams),) + (() if tasks is None else (int(tasks),))
         self.block = int(block)
         self._drawn = ()
         self._pending = None  # (method, size) the pending block was drawn for
@@ -170,9 +176,12 @@ class RunStreams:
     def _draw(self, method, size):
         if self._next == len(self._drawn):
             shape = () if size is None else tuple(np.atleast_1d(size))
-            self._drawn = np.stack(
-                [getattr(s, method)((self.block, *shape)) for s in self.streams], axis=1
-            )
+            tasks = self.lead[1:]
+            # filled row by row: stacking whole blocks would hold them twice
+            self._drawn = np.empty((self.block, *self.lead, *shape))
+            for row, stream in enumerate(self.streams):
+                drawn = getattr(stream, method)((*tasks, self.block, *shape))
+                self._drawn[:, row] = np.moveaxis(drawn, len(tasks), 0)
             self._pending = (method, size)
             self._next = 0
         elif (method, size) != self._pending:

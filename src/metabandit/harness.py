@@ -3,13 +3,18 @@
 Every (agent, run) pair draws from its own random streams, derived from
 (seed, purpose, agent label, run index), so its output does not depend on
 which other runs or agents are simulated beside it.  Every agent plays all
-runs of an experiment in lockstep: its state carries a leading run axis and
-one round of every run is a few array operations (see
-agents.GaussianFamilyAgent and agents.MixtureFamilyAgent), while each run
-still consumes its own streams exactly as it would alone.  Streams whose
-draws have a fixed size are drawn in per-task blocks; a Bernoulli-mixture
-agent's own stream is drawn run by run instead, because its Beta draws
-consume a variable amount of stream.
+runs of an experiment in lockstep: its state carries a leading shape `lead`
+of rows, and one round of every row is a few array operations (see
+agents.GaussianFamilyAgent and agents.MixtureFamilyAgent), while each row
+still consumes its own streams exactly as it would alone.  A row is one
+(agent, run) pair: agents that share a base, such as ada-ts, ada-ts+ and
+ada-ts-, play as one block of (agent, run) rows, each with its own
+meta-prior width.  Agents that play all tasks at once
+(agents.plays_tasks_at_once: Gaussian ts and oracle-ts) have the leading
+shape (runs, m) and play n lockstep rounds instead of m * n.  Streams whose
+draws have a fixed size are drawn in blocks (gauss_core.RunStreams); a
+Bernoulli-mixture agent's own stream is drawn run by run instead, because
+its Beta draws consume a variable amount of stream.
 
 Each run's world (linear action set, meta-parameter, task sequence) is
 sampled from that run's own task stream, and the worlds of all runs are
@@ -18,7 +23,7 @@ task-generation stream drops the agent label, so every agent in a run faces
 the same world, sampled once, while still drawing its own reward noise.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import hashlib
 
 import numpy as np
@@ -153,43 +158,74 @@ def _sample_world(config, label, runs):
     return _World(spec, np.stack(mu_stars), stacked, digests)
 
 
-def _run_agent(config, kind, runs, world):
-    """Instant regret (len(runs), m, n) of one agent kind over `runs`, given
-    their stacked world; one agent plays all of them in lockstep.
+def _join_worlds(worlds):
+    """Worlds of the same runs for several agents, one after another along
+    the row axis: the world of a block of (agent, run) rows."""
+    if len(worlds) == 1:
+        return worlds[0]
+    spec = worlds[0].spec
+    if spec.family == hierarchy.LINEAR and spec.actions.ndim == 3:
+        spec = spec.with_actions(np.concatenate([world.spec.actions for world in worlds]))
+    tasks = [
+        hierarchy.TaskInstance(*(np.concatenate([getattr(task, field.name) for task in stacks])
+                                 for field in fields(hierarchy.TaskInstance)))
+        for stacks in zip(*(world.tasks for world in worlds))
+    ]
+    mu_star = np.concatenate([world.mu_star for world in worlds])
+    return _World(spec, mu_star, tasks, sum((world.digests for world in worlds), ()))
 
-    A float overflow or invalid operation fails the run instead of reaching
-    its regret.  The error names the agent, the runs, the task and the
-    round: a failure in task set-up names round 0, and one while the agent
-    is built names task 0.
+
+def _run_agent(config, kinds, runs, world):
+    """Instant regret (len(kinds) * len(runs), m, n) of agent kinds that
+    share a base, one row per (kind, run) in that order, given the world of
+    those rows; one agent plays all rows in lockstep, each row with its
+    kind's meta-prior width.  An agent that plays all tasks at once
+    (agents.plays_tasks_at_once) plays them along a task axis, in n rounds.
+
+    A float overflow or invalid operation fails the rows instead of reaching
+    their regret.  The error names the agents, the runs, the task (1..m for
+    all tasks at once) and the round: a failure in task set-up names round
+    0, and one while the agent is built names task 0.
     """
+    spec, kind = world.spec, kinds[0]
+    at_once = agents_mod.plays_tasks_at_once(kind, spec.family)
 
     def lockstep(purpose):
-        streams = [_stream(config, purpose, kind.label, run) for run in runs]
-        return RunStreams(streams, block=config.n)
+        streams = [_stream(config, purpose, k.label, run) for k in kinds for run in runs]
+        return RunStreams(streams, block=config.n, tasks=config.m if at_once else None)
 
-    if world.spec.family == hierarchy.BERNOULLI_MIXTURE:
+    instant = np.zeros((len(kinds) * len(runs), config.m, config.n))
+    mu_star = world.mu_star
+    if at_once:
+        mu_star = np.broadcast_to(mu_star[:, None], instant.shape[:2] + mu_star.shape[1:])
+        blocks = [(f"1..{config.m}", hierarchy.stack_tasks(world.tasks, axis=1), instant)]
+    else:
+        blocks = [(s, task, instant[:, s - 1]) for s, task in enumerate(world.tasks, start=1)]
+    if spec.family == hierarchy.BERNOULLI_MIXTURE:
         agent_class = agents_mod.MixtureFamilyAgent
     else:
         agent_class = agents_mod.GaussianFamilyAgent
-    spec, rewards = world.spec, lockstep("rewards")
-    instant = np.zeros((len(runs), config.m, config.n))
+    scale = np.repeat([k.scale for k in kinds], len(runs))
+    rewards = lockstep("rewards")
     s = t = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            agent = agent_class(kind, spec, lockstep("agent"), world.mu_star)
-            for s, task in enumerate(world.tasks, start=1):
+            agent = agent_class(kind, spec, lockstep("agent"), mu_star, scale)
+            # all tasks at once begin as task 1 does
+            for first, (s, task, regret) in enumerate(blocks, start=1):
                 t = 0
-                agent.begin_task(s, config.m)
+                agent.begin_task(first, config.m)
                 for t in range(1, config.n + 1):
                     action = agent.act(t)
                     observation = hierarchy.realize_reward(spec, task, action, rewards)
-                    instant[:, s - 1, t - 1] = hierarchy.instant_regret(spec, task, action)
+                    regret[..., t - 1] = hierarchy.instant_regret(spec, task, action)
                     agent.observe(action, observation)
                 agent.end_task()
     except Exception as err:
+        labels = ",".join(k.label for k in kinds)
         where = runs[0] if len(runs) == 1 else f"{runs[0]}..{runs[-1]}"
         raise RuntimeError(
-            f"run failed at agent={kind.label} run={where} task={s} round={t}: {err}"
+            f"run failed at agent={labels} run={where} task={s} round={t}: {err}"
         ) from err
     return instant
 
@@ -201,7 +237,17 @@ def run_single(config, kind, run):
     kind, run): agent order and the other runs play no role.
     """
     world = _sample_world(config, kind.label, [run])
-    return _run_agent(config, kind, [run], world)[0], world.digests[0]
+    return _run_agent(config, (kind,), [run], world)[0], world.digests[0]
+
+
+def _blocks(config):
+    """The agents of `config` grouped into blocks that play as one agent:
+    agents with the same base, which differ only in their meta-prior width,
+    such as ada-ts, ada-ts+ and ada-ts-."""
+    blocks = {}
+    for kind in config.agents:
+        blocks.setdefault(kind.base, []).append(kind)
+    return list(blocks.values())
 
 
 def run_experiment(config):
@@ -209,12 +255,16 @@ def run_experiment(config):
     runs is sampled once and shared by all agents."""
     runs = list(range(config.runs))
     shared = _sample_world(config, "", runs) if config.common_tasks else None
-    instant, hashes = {}, {}
-    for kind in config.agents:
-        world = shared or _sample_world(config, kind.label, runs)
-        instant[kind.label] = _run_agent(config, kind, runs, world)
-        for run, digest in zip(runs, world.digests):
-            hashes[(kind.label, run)] = digest
+    rows, hashes = {}, {}
+    for kinds in _blocks(config):
+        world = _join_worlds([shared or _sample_world(config, kind.label, runs)
+                              for kind in kinds])
+        instant = _run_agent(config, kinds, runs, world)
+        for i, kind in enumerate(kinds):
+            rows[kind.label] = instant[i * len(runs):(i + 1) * len(runs)]
+        keys = [(kind.label, run) for kind in kinds for run in runs]
+        hashes.update(zip(keys, world.digests))
+    instant = {kind.label: rows[kind.label] for kind in config.agents}
     return RegretTrace(config, instant, hashes)
 
 
@@ -225,14 +275,19 @@ def aggregate(trace):
         label = kind.label
         if label not in trace.instant or trace.instant[label].shape[0] == 0:
             raise EmptyTrace(f"no successful runs for agent {label!r}")
-        cum = trace.cumulative(label)
-        runs = cum.shape[0]
-        mean[label] = cum.mean(axis=0)
-        if runs > 1:
-            stderr[label] = cum.std(axis=0, ddof=1) / np.sqrt(runs)
-        else:
-            stderr[label] = np.zeros_like(mean[label])
+        mean[label], stderr[label] = _mean_and_stderr(trace.cumulative(label))
     return AggregateCurve(trace.config, mean, stderr)
+
+
+def _mean_and_stderr(cum):
+    """Across-run mean and standard error of one agent's cumulative regret;
+    a function of its own, so that each agent's `cum` is freed before the
+    next one's is built."""
+    runs = cum.shape[0]
+    mean = cum.mean(axis=0)
+    if runs > 1:
+        return mean, cum.std(axis=0, ddof=1) / np.sqrt(runs)
+    return mean, np.zeros_like(mean)
 
 
 def final_regret(curve, label):

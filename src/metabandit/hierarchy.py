@@ -207,8 +207,9 @@ class TaskInstance:
 
     ``means`` holds the mean reward of each arm, or of each row of a linear
     action set, which linear rewards and regret read back.  ``stack_tasks``
-    builds the same record with a leading run axis on every field: one task
-    per run, for agents that play all runs in lockstep.
+    builds the same record with a leading shape on every field: one task per
+    run, for agents that play all runs in lockstep, or (runs, m) for agents
+    that also play all m tasks of each run at once.
     """
 
     theta: np.ndarray
@@ -262,13 +263,15 @@ def sample_task(spec, mu_star, rng):
     return TaskInstance(theta, best, float(theta[best]), theta)
 
 
-def stack_tasks(tasks):
-    """One task per run, stacked along a leading run axis."""
+def stack_tasks(tasks, axis=0):
+    """One task per run, stacked along a leading run axis; with axis=1, m
+    stacks of one task per run become one stack with the leading shape
+    (runs, m).  The fields are C-contiguous, as `flat_view` needs."""
     return TaskInstance(
-        np.stack([task.theta for task in tasks]),
-        np.array([task.optimal_action for task in tasks]),
-        np.array([task.optimal_value for task in tasks]),
-        np.stack([task.means for task in tasks]),
+        np.stack([task.theta for task in tasks], axis),
+        np.stack([task.optimal_action for task in tasks], axis),
+        np.stack([task.optimal_value for task in tasks], axis),
+        np.stack([task.means for task in tasks], axis),
     )
 
 
@@ -279,11 +282,16 @@ def _check_arm(spec, arm):
 
 def linear_feature(spec, action):
     """Feature vectors of linear actions: an index into the action set, or
-    one index per run, gives its row (per run)."""
+    one index per run, gives its row (per run).  With a (runs, K, d) action
+    set, `action` has a leading shape (runs,) or (runs, m), and each row
+    indexes its run's own set."""
     action = np.asarray(action)
     if spec.actions.ndim == 2:
         return spec.actions[action]
-    return spec.actions[np.arange(action.shape[0]), action]
+    runs = np.arange(action.shape[0])
+    if action.ndim > 1:
+        runs = runs.reshape((-1,) + (1,) * (action.ndim - 1))
+    return spec.actions[runs, action]
 
 
 def _check_subset(spec, arms):
@@ -351,9 +359,10 @@ def realize_reward(spec, task, action, rng):
 
     An action is an arm, an index into the linear action set, or a
     semibandit subset of arms.  For a stack of tasks (see `stack_tasks`)
-    `action` holds one action per run, `rng` is a RunStreams, and the result
-    has one reward per run: an array (runs,), or (runs, budget) in the order
-    of each run's sorted subset.  A one-run call (a task without a run axis,
+    with the leading shape `rng.lead`, (runs,) or (runs, m), `action` holds
+    one action per row, `rng` is a RunStreams, and the result has one reward
+    per row: an array of shape lead, or lead + (budget,) in the order of each
+    row's sorted subset.  A one-run call (a task without a run axis,
     an RngStream) is the same code on a stack of one run: it returns a float,
     or for the semibandit family an array with one reward per arm in the
     action's order.  It checks the action first: anything else, a feature
@@ -368,13 +377,13 @@ def realize_reward(spec, task, action, rng):
     mean = _means(spec, task, action)
     if spec.family == BERNOULLI_MIXTURE:
         return (rng.random() < mean).astype(float)
-    return mean + spec.noise_sigma * rng.standard_normal(mean.shape[1:])
+    return mean + spec.noise_sigma * rng.standard_normal(mean.shape[len(rng.lead):])
 
 
 def instant_regret(spec, task, action):
-    """Gap between the task's optimal mean reward and the action's, per run
-    for a stack of tasks, or as a float for one run."""
+    """Gap between the task's optimal mean reward and the action's, per row
+    of a stack of tasks, or as a float for one run."""
     if task.theta.ndim == 1:
         return float(instant_regret(spec, *_one_run(spec, task, action))[0])
     mean = _means(spec, task, action)
-    return task.optimal_value - (mean.sum(axis=1) if spec.family == SEMIBANDIT else mean)
+    return task.optimal_value - (mean.sum(axis=-1) if spec.family == SEMIBANDIT else mean)

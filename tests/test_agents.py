@@ -32,12 +32,16 @@ def test_agent_kind_names():
 
 def test_scale_meta_prior():
     spec = gauss_spec(sigma_q=0.5)
-    assert agents.scale_meta_prior(spec, 1.0) is spec
-    assert np.allclose(agents.scale_meta_prior(spec, 3.0).sigma_q, 9 * spec.sigma_q)
-    assert np.allclose(agents.scale_meta_prior(spec, 1 / 3).sigma_q, spec.sigma_q / 9)
+    prior = np.diag(spec.sigma_q)
+    assert agents.initial_meta_posterior(spec, scale=1.0).var.tobytes() == prior.tobytes()
+    assert np.allclose(agents.initial_meta_posterior(spec, scale=3.0).var, 9 * prior)
+    assert np.allclose(agents.initial_meta_posterior(spec, scale=1 / 3).var, prior / 9)
+    per_row = agents.initial_meta_posterior(spec, (3, 4), scale=[1.0, 3.0, 1 / 3])
+    assert per_row.var.shape == (3, 4, 2)
+    assert np.allclose(per_row.var[:, 0], [prior, 9 * prior, prior / 9])
     mixture = hierarchy.mixture_env(1, alphas=[[9], [1]], betas=[[1], [9]])
     with pytest.raises(ValueError):
-        agents.scale_meta_prior(mixture, 3.0)
+        agents.initial_meta_posterior(mixture, scale=3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +593,9 @@ def test_exploring_tasks_schedule():
 
 def test_plan_empty_outside_schedule():
     spec = gauss_spec(num_arms=3)
-    assert agents.forced_exploration_plan(3, 20, spec) == []
-    assert agents.forced_exploration_plan(17, 20, spec) == [0, 1, 2]
+    assert 3 not in agents.exploring_tasks(20)
+    assert 17 in agents.exploring_tasks(20)
+    assert agents.opening_actions(spec) == [0, 1, 2]
 
 
 def test_covering_subsets():
@@ -602,7 +607,7 @@ def test_covering_subsets():
 
 def test_semibandit_plan_covers_all_arms():
     spec = hierarchy.semibandit_env(5, 2, 0.5, 0.1, 1.0)
-    plan = agents.forced_exploration_plan(1, 20, spec)
+    plan = agents.opening_actions(spec)
     assert set().union(*plan) == set(range(5))
 
 
@@ -612,7 +617,8 @@ def test_choose_spanning_actions_from_generic_set():
     plan, eta = agents.choose_spanning_actions(actions)
     assert len(plan) == 2 and all(isinstance(i, int) for i in plan)
     assert eta > 1e-6
-    assert eta == pytest.approx(agents.spanning_strength(actions[plan]))
+    features = actions[plan]
+    assert eta == pytest.approx(np.linalg.eigvalsh(features.T @ features)[0])
 
 
 @pytest.mark.parametrize("actions", [
@@ -627,7 +633,7 @@ def test_choose_spanning_actions_refuses_a_set_that_cannot_span(actions):
 def test_linear_plan_requires_actions():
     spec = hierarchy.linear_env(2, 1.0, 0.1, 1.0)
     with pytest.raises(ValueError):
-        agents.forced_exploration_plan(1, 20, spec)
+        agents.opening_actions(spec)
 
 
 def test_forced_agent_follows_plan_then_samples():

@@ -407,15 +407,18 @@ FAMILIES = {"run": list(EVERY_FAMILY_FLAG), "sweep": list(EVERY_FAMILY_FLAG),
             "bound": ["linear", "semibandit"]}
 
 
-def every_flag_argv(command, env):
+def every_flag_argv(command, env, eta=True):
     """A valid invocation of the family `env` that sets every flag the family
-    reads and every other flag of the subcommand but --config."""
-    argv = [command, "--env", env, *EVERY_FAMILY_FLAG[env], "--tasks", "3", "--rounds", "4",
-            "--seed", "5"]
+    reads and every other flag of the subcommand but --config.  A linear
+    bound reads --eta, or with eta=False the --seed it derives --eta from."""
+    argv = [command, "--env", env, *EVERY_FAMILY_FLAG[env], "--tasks", "3", "--rounds", "4"]
     if command == "bound":
-        return argv + ["--delta", "0.01"] + (["--eta", "0.5"] if env == "linear" else [])
-    return argv + ["--runs", "2", "--agents", "ts,ada-ts", "--common-tasks", "false",
-                   "--out", "elsewhere", "--threads", "3"]
+        argv += ["--delta", "0.01"]
+        if env == "linear":
+            argv += ["--eta", "0.5"] if eta else ["--seed", "5"]
+        return argv
+    return argv + ["--seed", "5", "--runs", "2", "--agents", "ts,ada-ts",
+                   "--common-tasks", "false", "--out", "elsewhere", "--threads", "3"]
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -426,8 +429,11 @@ def test_config_keys_are_the_long_flags(tmp_path, capsys, command):
         cli.parse([command, "--help"])
     flags = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
     covered = set()
-    for env in FAMILIES[command]:
-        full = cli.parse(every_flag_argv(command, env))
+    variants = [(env, True) for env in FAMILIES[command]]
+    if command == "bound":
+        variants.append(("linear", False))
+    for env, eta in variants:
+        full = cli.parse(every_flag_argv(command, env, eta))
         argv = cli.format_argv(full)
         covered |= set(argv[1::2])
         cfg = tmp_path / f"{env}.cfg"
@@ -635,6 +641,28 @@ def test_bound_subcommand_semibandit_zero_width_term(capsys):
     terms, total = parse_bound_output(capsys.readouterr().out)
     assert terms["term_zero_width_arms"] > 0
     assert sum(terms.values()) == pytest.approx(total, rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--env", "semibandit", "--arms", "4", "--budget", "2", "--sigma-q", "0.5",
+     "--tasks", "2", "--rounds", "3"],
+    BOUND_ARGV + ["--eta", "0.5"],
+], ids=["semibandit", "linear-eta"])
+def test_bound_seed_it_does_not_read_exits_2(capsys, argv):
+    """Only a linear bound that derives --eta reads --seed; elsewhere it is
+    refused, not ignored."""
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main(argv + ["--seed", "5"]) == 2
+    assert "--seed" in capsys.readouterr().err.partition("error:")[2]
+
+
+def test_bound_seed_picks_the_action_set_eta_is_derived_from(capsys):
+    outputs = []
+    for seed in ([], ["--seed", "0"], ["--seed", "5"]):
+        assert cli.main(BOUND_ARGV + seed) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != outputs[2]
 
 
 def test_bound_subcommand_rejects_gaussian(capsys):

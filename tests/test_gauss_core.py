@@ -256,6 +256,23 @@ def test_run_streams_refuse_another_kind_while_draws_are_pending():
         streams.standard_normal()
 
 
+@pytest.mark.parametrize("method", ["standard_normal", "random"])
+@pytest.mark.parametrize("size", [(), (3,)])
+def test_task_axis_run_streams_give_each_task_its_draws(method, size):
+    """A task axis lays the m tasks of each run side by side: the draw of
+    (run, task, round) is the one a per-task RunStreams gives that round."""
+    ids, m, n = [4, 9, 1], 5, 7
+    per_task = gc.RunStreams([gc.RngStream(7, i) for i in ids], block=n)
+    at_once = gc.RunStreams([gc.RngStream(7, i) for i in ids], block=n, tasks=m)
+    assert at_once.lead == (3, m)
+    task_by_task = np.array([getattr(per_task, method)(size) for _ in range(m * n)])
+    all_tasks = np.array([getattr(at_once, method)(size) for _ in range(n)])
+    assert all_tasks.shape == (n, 3, m) + size
+    for task in range(m):
+        for t in range(n):
+            assert all_tasks[t, :, task].tobytes() == task_by_task[task * n + t].tobytes()
+
+
 def test_beta_row_draws_the_bits_of_one_array_call():
     """Scalar Beta draws consume a stream as one array-argument call does,
     in both of numpy's Beta algorithms (a, b <= 1, and otherwise)."""

@@ -178,20 +178,25 @@ def test_engine_reproduces_pinned_traces(name, common_tasks):
     assert h.hexdigest() == ENGINE_DIGESTS[(name, common_tasks)]
 
 
-def _replay_mixture_run(config, kind, run):
-    """One run played by a one-run MixtureFamilyAgent from the run's own
+def _replay_run(config, kind, run):
+    """One run played task by task by a one-run agent from the run's own
     streams, as criterion 7's fixture does: (instant regret, final meta)."""
     spec = config.spec
     tasks_rng, rewards_rng, agent_rng = harness._streams(config, kind.label, run)
-    component = hierarchy.sample_meta_parameter(spec, tasks_rng)
-    tasks = [hierarchy.sample_task(spec, component, tasks_rng) for _ in range(config.m)]
-    agent = agents.MixtureFamilyAgent(kind, spec, agent_rng, component)
+    if spec.family == hierarchy.LINEAR and spec.actions is None:
+        spec = harness._sample_run_actions(spec, tasks_rng)
+    mu_star = hierarchy.sample_meta_parameter(spec, tasks_rng)
+    tasks = [hierarchy.sample_task(spec, mu_star, tasks_rng) for _ in range(config.m)]
+    if spec.family == hierarchy.BERNOULLI_MIXTURE:
+        agent = agents.MixtureFamilyAgent(kind, spec, agent_rng, mu_star)
+    else:
+        agent = agents.GaussianFamilyAgent(kind, spec, agent_rng, mu_star)
     instant = np.zeros((config.m, config.n))
     for s, task in enumerate(tasks, start=1):
         agent.begin_task(s, config.m)
         for t in range(1, config.n + 1):
             action = agent.act(t)
-            assert isinstance(action, np.integer)
+            assert np.ndim(action) == (spec.family == hierarchy.SEMIBANDIT)
             reward = hierarchy.realize_reward(spec, task, action, rewards_rng)
             instant[s - 1, t - 1] = hierarchy.instant_regret(spec, task, action)
             agent.observe(action, reward)
@@ -227,11 +232,65 @@ def test_lockstep_mixture_agents_replay_as_one_run_agents(monkeypatch, common_ta
     monkeypatch.undo()
     for kind in config.agents:
         for run in range(config.runs):
-            instant, meta = _replay_mixture_run(config, kind, run)
+            instant, meta = _replay_run(config, kind, run)
             assert trace.instant[kind.label][run].tobytes() == instant.tobytes()
             if kind.label == "ada-ts":
                 whole = lockstep["ada-ts"].meta.weights[run]
                 assert whole.tobytes() == meta.weights.tobytes()
+
+
+@pytest.mark.parametrize("family", ["gaussian", "semibandit", "linear"])
+@pytest.mark.parametrize("common_tasks", [True, False])
+def test_agents_that_play_all_tasks_at_once_replay_task_by_task(monkeypatch, family,
+                                                                common_tasks):
+    """ts and oracle-ts play all m tasks of every run at once; each run is
+    what a one-run agent plays task by task from the run's streams."""
+    leads = []
+    real_act = agents.GaussianFamilyAgent.act
+
+    def recording(agent, t):
+        leads.append(agent.lead)
+        return real_act(agent, t)
+
+    monkeypatch.setattr(agents.GaussianFamilyAgent, "act", recording)
+    config = small_config(agent_names=("ts", "oracle-ts"), spec=FAMILY_SPECS[family](),
+                          runs=3, m=4, n=6, seed=19, common_tasks=common_tasks)
+    trace = harness.run_experiment(config)
+    assert leads == [(config.runs, config.m)] * (2 * config.n)
+    monkeypatch.undo()
+    for kind in config.agents:
+        for run in range(config.runs):
+            instant, _ = _replay_run(config, kind, run)
+            assert trace.instant[kind.label][run].tobytes() == instant.tobytes()
+
+
+@pytest.mark.parametrize("family", ["gaussian", "semibandit", "linear"])
+@pytest.mark.parametrize("common_tasks", [True, False])
+def test_rescaled_agents_play_as_one_batch_with_the_bits_of_each_alone(monkeypatch, family,
+                                                                       common_tasks):
+    """ada-ts, ada-ts+ and ada-ts- play as one agent over (agent, run) rows,
+    each label with its own world when tasks are not common; every label's
+    trace and task hashes are those it gets played alone."""
+    built = []
+    real_init = agents.GaussianFamilyAgent.__init__
+
+    def recording(agent, *args, **kwargs):
+        real_init(agent, *args, **kwargs)
+        built.append(agent.lead)
+
+    monkeypatch.setattr(agents.GaussianFamilyAgent, "__init__", recording)
+    names = ("ada-ts", "ts", "ada-ts+", "ada-ts-")
+    kwargs = dict(spec=FAMILY_SPECS[family](), runs=3, m=4, n=6, seed=29,
+                  common_tasks=common_tasks)
+    trace = harness.run_experiment(small_config(agent_names=names, **kwargs))
+    assert list(trace.instant) == list(names)
+    assert sorted(built) == [(3, 4), (9,)]
+    monkeypatch.undo()
+    for name in names:
+        alone = harness.run_experiment(small_config(agent_names=(name,), **kwargs))
+        assert trace.instant[name].tobytes() == alone.instant[name].tobytes()
+        for run in range(3):
+            assert trace.task_hashes[(name, run)] == alone.task_hashes[(name, run)]
 
 
 def test_cumulative_is_monotone_and_flattened():
@@ -384,6 +443,35 @@ def test_failure_diagnostic_names_the_unit(monkeypatch):
     monkeypatch.setattr(agents.GaussianFamilyAgent, "begin_task", failing_setup)
     with pytest.raises(RuntimeError, match="agent=ada-ts run=0 task=2 round=0"):
         harness.run_single(config, config.agents[0], 0)
+
+
+def _fail_after(monkeypatch, rewards):
+    """Make realize_reward raise once it has been called `rewards` times."""
+    real = hierarchy.realize_reward
+    calls = {"left": rewards}
+
+    def flaky(spec, task, action, rng):
+        if calls["left"] == 0:
+            raise FloatingPointError("synthetic numeric failure")
+        calls["left"] -= 1
+        return real(spec, task, action, rng)
+
+    monkeypatch.setattr(hierarchy, "realize_reward", flaky)
+
+
+def test_failure_of_all_tasks_at_once_names_every_task(monkeypatch):
+    config = small_config(agent_names=("oracle-ts",), runs=3, m=5, n=4)
+    _fail_after(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"agent=oracle-ts run=0\.\.2 task=1\.\.5 round=3:"):
+        harness.run_experiment(config)
+
+
+def test_failure_of_a_batch_names_every_agent_in_it(monkeypatch):
+    config = small_config(agent_names=("ada-ts", "ada-ts+", "ada-ts-"), runs=3, m=3, n=4)
+    _fail_after(monkeypatch, 6)
+    with pytest.raises(RuntimeError, match=r"run failed at agent=ada-ts,ada-ts\+,ada-ts- "
+                                           r"run=0\.\.2 task=2 round=3:"):
+        harness.run_experiment(config)
 
 
 def test_failure_while_the_agent_is_built_names_the_unit():
