@@ -26,7 +26,8 @@ one run of one agent; agents that differ only in their meta-prior width
 (ada-ts, ada-ts+ and ada-ts-) play as one agent over (agent, run) rows, each
 row with its own width.  Policies that neither learn between tasks nor draw
 at task start (`plays_tasks_at_once`) play all m tasks of a run at once,
-with the leading shape (rows, m).  Each row still draws from its own stream:
+with the leading shape (m, rows); per-row data broadcasts against either
+shape from the right.  Each row still draws from its own stream:
 Gaussian draws come in blocks (gauss_core.RunStreams), while a mixture
 agent's draws are made run by run, because a Beta draw uses a variable
 amount of stream.
@@ -102,9 +103,9 @@ def require_family(kind, family):
 
 
 def plays_tasks_at_once(kind, family):
-    """Whether all m tasks of a run can be played at once, along a task axis
-    of the leading shape.  Gaussian-family ts and oracle-ts neither learn
-    between tasks nor draw at task start, so every task starts from the same
+    """Whether all m tasks of a run can be played at once, along a leading
+    task axis.  Gaussian-family ts and oracle-ts neither learn between tasks
+    nor draw at task start, so every task starts from the same
     state and its draws follow the previous task's in the run's streams.  A
     mixture agent's Beta draws use a variable amount of stream, so its tasks
     stay one after another."""
@@ -123,7 +124,7 @@ def initial_meta_posterior(spec, lead=(), scale=1.0):
     prior's.
 
     `scale` rescales a Gaussian meta-prior's width (its covariance by
-    scale * scale), by one factor or by one per row of lead's first axis.
+    scale * scale), by one factor or by one per row of lead's last axis.
     It models an agent whose believed meta-prior is too wide (scale > 1) or
     too narrow (scale < 1); the environment itself is unchanged.
     """
@@ -135,7 +136,7 @@ def initial_meta_posterior(spec, lead=(), scale=1.0):
         log_w = _normalize_log_weights(np.broadcast_to(log_w, lead + log_w.shape))
         return MixtureTaskState(log_w, spec.mixture_alphas, spec.mixture_betas)
     mean = np.broadcast_to(spec.mu_q, lead + spec.mu_q.shape)
-    factor = (scale * scale).reshape(scale.shape + (1,) * (len(lead) + 1 - scale.ndim))
+    factor = (scale * scale)[..., None]
     if spec.family == hierarchy.LINEAR:
         return FullTaskPosterior(mean, factor[..., None] * spec.sigma_q)
     return DiagonalTaskPosterior(mean, factor * np.diag(spec.sigma_q))
@@ -300,8 +301,8 @@ class FullTaskPosterior:
 
 
 def begin_task(kind, meta, spec, rng, mu_star=None):
-    """Task prior for a fresh task under the given policy, with the run axis
-    of `meta` (and of `mu_star`) if it has one.
+    """Task prior for a fresh task under the given policy, with the leading
+    shape of `meta`; `mu_star` broadcasts against it from the right.
 
     ts, ada-ts and ada-ts-forced play the meta-posterior widened by sigma_0;
     ts never updates its meta-posterior, so it plays the meta-prior.
@@ -325,7 +326,7 @@ def begin_task(kind, meta, spec, rng, mu_star=None):
     elif kind.base == ORACLE_TS:
         if mu_star is None:
             raise ValueError("oracle-ts needs the true mu_star")
-        center = np.asarray(mu_star, dtype=float)
+        center = np.broadcast_to(np.asarray(mu_star, dtype=float), meta.mean.shape)
     else:
         raise UnknownAgent(f"{kind.base!r} has no Gaussian task prior")
     if diagonal:
@@ -337,22 +338,18 @@ def ts_select(posterior, actions, rng):
     """Sample a parameter from the posterior and play greedily against it.
 
     ``actions`` is the arm count (int), the feature matrix (linear, with a
-    leading run axis when each run has its own), or a (num_arms, budget) pair
+    leading row axis when each row has its own), or a (num_arms, budget) pair
     (semibandit).  Ties go to the lowest index.  Per row of the posterior's
     leading shape, the action is an index or a sorted int array of arms; a
-    per-run feature matrix serves every task of its run when that shape is
-    (runs, m).
+    per-row feature matrix broadcasts against that shape from the right, so
+    it serves every task of its row when the shape is (m, rows).
     """
     theta = posterior.sample(rng)
     if isinstance(actions, tuple):
         _, budget = actions
         return hierarchy.top_subset(theta, budget)
     if not isinstance(actions, (int, np.integer)):
-        actions = np.asarray(actions)
-        if 2 < actions.ndim <= theta.ndim:
-            actions = actions.reshape(actions.shape[:1] + (1,) * (theta.ndim - 2)
-                                      + actions.shape[1:])
-        theta = matvec(actions, theta)
+        theta = matvec(np.asarray(actions), theta)
     return np.argmax(theta, axis=-1)
 
 
@@ -555,17 +552,17 @@ class GaussianFamilyAgent:
     """One policy's state across a run of tasks (Gaussian reward families).
 
     The agent plays the rows of `rng` in lockstep with the leading shape
-    `lead` = `rng.lead`: (R,) for a RunStreams of R rows, (R, m) for one
+    `lead` = `rng.lead`: (R,) for a RunStreams of R rows, (m, R) for one
     with a task axis, whose tasks are all played at once (see
     `plays_tasks_at_once`), and () for an RngStream.  A row is one run, of
     this agent or, when `scale` is given, of one of the agents that share its
-    base: `scale` holds one meta-prior width per row of lead's first axis
-    and stands in for `kind.scale`, so ada-ts, ada-ts+ and ada-ts- play as
-    one agent.  `mu_star` and all state have the leading shape; so has each
-    action of `act`: an arm or a linear index into the run's action set, or
-    a sorted int array of arms.  A linear action set is shared or has one
-    (K, d) set per row of lead's first axis.  `observe` takes an action and
-    its reward, or the array of its arms' rewards.  Each row uses its own
+    base: `scale` holds one meta-prior width per row (lead's last axis) and
+    stands in for `kind.scale`, so ada-ts, ada-ts+ and ada-ts- play as one
+    agent.  All state has the leading shape; so has each action of `act`:
+    an arm or a linear index into the row's action set, or a sorted int
+    array of arms.  `mu_star` (R, P) and a linear action set, shared or one
+    (K, d) per row, broadcast against lead from the right.  `observe` takes
+    an action and its reward, or the array of its arms' rewards.  Each row uses its own
     stream as it would alone; `begin_task` takes the (first) task number.
     ada-ts-forced works out its `opening_actions` once, when it is built: a
     linear action set that cannot span R^d raises ValueError there.

@@ -84,11 +84,12 @@ def spd_inverse(a):
 
 
 def mvn_sample(mean, cov, rng):
-    """One draw from N(mean, cov) as mean + L @ z with L = cholesky(cov);
-    with a run axis (and `rng` a RunStreams), one draw per run."""
+    """Draws from N(mean, cov) as mean + L @ z with L = cholesky(cov), one
+    per row of `mean`: one per run from a RunStreams, or m from an RngStream
+    for an (m, d) mean, with the bits of m one-row calls."""
     mean = np.asarray(mean, dtype=float)
     lower = cholesky(cov)
-    z = rng.standard_normal(mean.shape[-1])
+    z = rng.standard_normal(mean.shape[len(rng.lead):])
     return mean + matvec(lower, z)
 
 
@@ -145,14 +146,14 @@ class RunStreams:
 
     `standard_normal(size)` and `random(size)` return one draw of shape
     `size` per row, stacked as lead + size.  The leading shape `lead` of
-    state played from it is (rows,), or (rows, tasks) with a task axis.  A
+    state played from it is (rows,), or (tasks, rows) with a task axis.  A
     row is one run of one agent; a batch of agents that play together has
     one row per (agent, run).  The draws come from blocks of `block` draws
     per row, or of `tasks` * `block` with a task axis, that each stream makes
     in one call.  A block draw consumes a stream exactly as the same draws
     made one by one, so every row sees the numbers it would see alone,
     however the block boundaries fall, as long as all draws from one stream
-    have one kind and shape.  With a task axis, the draw of (row, task s,
+    have one kind and shape.  With a task axis, the draw of (task s, row,
     i-th call) is the stream's draw number (s - 1) * block + i: the tasks of
     a run that draws `block` times per task and nothing in between, played
     at once.  A request of another kind or shape while a block still holds
@@ -163,25 +164,22 @@ class RunStreams:
 
     def __init__(self, streams, block, tasks=None):
         self.streams = tuple(streams)
-        self.lead = (len(self.streams),) + (() if tasks is None else (int(tasks),))
+        self.lead = (() if tasks is None else (int(tasks),)) + (len(self.streams),)
         self.block = int(block)
         self._drawn = ()
         self._pending = None  # (method, size) the pending block was drawn for
         self._next = 0
 
-    @property
-    def runs(self):
-        return len(self.streams)
-
     def _draw(self, method, size):
         if self._next == len(self._drawn):
             shape = () if size is None else tuple(np.atleast_1d(size))
-            tasks = self.lead[1:]
+            tasks = self.lead[:-1]
             # filled row by row: stacking whole blocks would hold them twice
             self._drawn = np.empty((self.block, *self.lead, *shape))
-            for row, stream in enumerate(self.streams):
+            by_row = np.moveaxis(self._drawn, len(self.lead), 0)
+            for row, stream in zip(by_row, self.streams):
                 drawn = getattr(stream, method)((*tasks, self.block, *shape))
-                self._drawn[:, row] = np.moveaxis(drawn, len(tasks), 0)
+                row[...] = np.moveaxis(drawn, len(tasks), 0)
             self._pending = (method, size)
             self._next = 0
         elif (method, size) != self._pending:

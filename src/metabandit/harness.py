@@ -11,14 +11,15 @@ still consumes its own streams exactly as it would alone.  A row is one
 ada-ts-, play as one block of (agent, run) rows, each with its own
 meta-prior width.  Agents that play all tasks at once
 (agents.plays_tasks_at_once: Gaussian ts and oracle-ts) have the leading
-shape (runs, m) and play n lockstep rounds instead of m * n.  Streams whose
+shape (m, rows) and play n lockstep rounds instead of m * n.  Streams whose
 draws have a fixed size are drawn in blocks (gauss_core.RunStreams); a
 Bernoulli-mixture agent's own stream is drawn run by run instead, because
 its Beta draws consume a variable amount of stream.
 
 Each run's world (linear action set, meta-parameter, task sequence) is
-sampled from that run's own task stream, and the worlds of all runs are
-stacked once along the run axis.  When ``common_tasks`` is set, the
+sampled from that run's own task stream, its m tasks as one stack, and the
+worlds of all runs are stacked once along the run axis, which for the tasks
+is the last: one (m, runs) stack.  When ``common_tasks`` is set, the
 task-generation stream drops the agent label, so every agent in a run faces
 the same world, sampled once, while still drawing its own reward noise.
 """
@@ -122,21 +123,20 @@ def _task_digest(run_spec, mu_star, tasks):
         h.update(str(int(mu_star)).encode())
     else:
         h.update(np.ascontiguousarray(mu_star).tobytes())
-    for task in tasks:
-        h.update(np.ascontiguousarray(task.theta).tobytes())
+    h.update(np.ascontiguousarray(tasks.theta).tobytes())
     return h.hexdigest()
 
 
 @dataclass(frozen=True, eq=False)
 class _World:
-    """What an agent faces in each of its runs, stacked along a leading run
-    axis: the environment spec (for linear, each run's own action set as
-    (runs, K, d) when they are sampled per run), mu_star per run, the m tasks,
-    each stacked by `stack_tasks`, and one task-sequence digest per run."""
+    """What an agent faces in each of its rows: the environment spec (for
+    linear, each row's own action set as (rows, K, d) when they are sampled
+    per run), mu_star per row, the tasks as one (m, rows) stack, and one
+    task-sequence digest per row."""
 
     spec: hierarchy.EnvironmentSpec
     mu_star: np.ndarray
-    tasks: list
+    tasks: hierarchy.TaskInstance
     digests: tuple
 
 
@@ -149,13 +149,12 @@ def _sample_world(config, label, runs):
         tasks_rng = _stream(config, "tasks", label, run)
         run_spec = _sample_run_actions(spec, tasks_rng) if sampled else spec
         mu_star = hierarchy.sample_meta_parameter(run_spec, tasks_rng)
-        tasks = [hierarchy.sample_task(run_spec, mu_star, tasks_rng) for _ in range(config.m)]
+        tasks = hierarchy.sample_task(run_spec, mu_star, tasks_rng, (config.m,))
         worlds.append((run_spec.actions, mu_star, tasks, _task_digest(run_spec, mu_star, tasks)))
     actions, mu_stars, tasks, digests = zip(*worlds)
     if sampled:
         spec = spec.with_actions(np.stack(actions))
-    stacked = [hierarchy.stack_tasks(per_run) for per_run in zip(*tasks)]
-    return _World(spec, np.stack(mu_stars), stacked, digests)
+    return _World(spec, np.stack(mu_stars), hierarchy.stack_tasks(tasks), digests)
 
 
 def _join_worlds(worlds):
@@ -166,11 +165,9 @@ def _join_worlds(worlds):
     spec = worlds[0].spec
     if spec.family == hierarchy.LINEAR and spec.actions.ndim == 3:
         spec = spec.with_actions(np.concatenate([world.spec.actions for world in worlds]))
-    tasks = [
-        hierarchy.TaskInstance(*(np.concatenate([getattr(task, field.name) for task in stacks])
-                                 for field in fields(hierarchy.TaskInstance)))
-        for stacks in zip(*(world.tasks for world in worlds))
-    ]
+    tasks = hierarchy.TaskInstance(*(
+        np.concatenate([getattr(world.tasks, field.name) for world in worlds], axis=1)
+        for field in fields(hierarchy.TaskInstance)))
     mu_star = np.concatenate([world.mu_star for world in worlds])
     return _World(spec, mu_star, tasks, sum((world.digests for world in worlds), ()))
 
@@ -180,7 +177,8 @@ def _run_agent(config, kinds, runs, world):
     share a base, one row per (kind, run) in that order, given the world of
     those rows; one agent plays all rows in lockstep, each row with its
     kind's meta-prior width.  An agent that plays all tasks at once
-    (agents.plays_tasks_at_once) plays them along a task axis, in n rounds.
+    (agents.plays_tasks_at_once) plays the whole (m, rows) stack of tasks in
+    n rounds; any other plays task s as the view `world.tasks[s - 1]`.
 
     A float overflow or invalid operation fails the rows instead of reaching
     their regret.  The error names the agents, the runs, the task (1..m for
@@ -195,12 +193,10 @@ def _run_agent(config, kinds, runs, world):
         return RunStreams(streams, block=config.n, tasks=config.m if at_once else None)
 
     instant = np.zeros((len(kinds) * len(runs), config.m, config.n))
-    mu_star = world.mu_star
     if at_once:
-        mu_star = np.broadcast_to(mu_star[:, None], instant.shape[:2] + mu_star.shape[1:])
-        blocks = [(f"1..{config.m}", hierarchy.stack_tasks(world.tasks, axis=1), instant)]
+        blocks = [(f"1..{config.m}", world.tasks, instant.swapaxes(0, 1))]
     else:
-        blocks = [(s, task, instant[:, s - 1]) for s, task in enumerate(world.tasks, start=1)]
+        blocks = [(s, world.tasks[s - 1], instant[:, s - 1]) for s in range(1, config.m + 1)]
     if spec.family == hierarchy.BERNOULLI_MIXTURE:
         agent_class = agents_mod.MixtureFamilyAgent
     else:
@@ -210,7 +206,7 @@ def _run_agent(config, kinds, runs, world):
     s = t = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            agent = agent_class(kind, spec, lockstep("agent"), mu_star, scale)
+            agent = agent_class(kind, spec, lockstep("agent"), world.mu_star, scale)
             # all tasks at once begin as task 1 does
             for first, (s, task, regret) in enumerate(blocks, start=1):
                 t = 0

@@ -11,7 +11,7 @@ rewards are noisy observations of theta.  Four families share this structure:
                          per-arm Beta priors and mu_star is a component index.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 import functools
 import math
 
@@ -206,16 +206,19 @@ class TaskInstance:
     """One sampled task: parameter, best action, and its mean reward.
 
     ``means`` holds the mean reward of each arm, or of each row of a linear
-    action set, which linear rewards and regret read back.  ``stack_tasks``
-    builds the same record with a leading shape on every field: one task per
-    run, for agents that play all runs in lockstep, or (runs, m) for agents
-    that also play all m tasks of each run at once.
+    action set, which linear rewards and regret read back.  A stack of tasks
+    has a leading shape on every field: (m,) for a run's tasks, (rows,) for
+    one task per row in lockstep, or (m, rows) for all tasks of all rows.
+    Indexing it indexes that shape: `tasks[s - 1]` is task s of every row.
     """
 
     theta: np.ndarray
     optimal_action: object
     optimal_value: float
     means: np.ndarray = None
+
+    def __getitem__(self, index):
+        return TaskInstance(*(getattr(self, field.name)[index] for field in fields(self)))
 
 
 def sample_meta_parameter(spec, rng):
@@ -241,38 +244,36 @@ def top_subset(theta, budget):
     return np.sort(np.argsort(-theta, axis=-1, kind="stable")[..., :budget], axis=-1)
 
 
-def sample_task(spec, mu_star, rng):
-    """Draw one task parameter from the task prior and locate its optimum."""
+def sample_task(spec, mu_star, rng, lead=()):
+    """Draw a stack of tasks with the leading shape `lead` (see TaskInstance)
+    from the task prior and locate their optima: (m,) draws a run's m tasks
+    from `rng` exactly as m one-task calls, with lead (), would draw them."""
     if spec.family == BERNOULLI_MIXTURE:
-        j = int(mu_star)
-        theta = rng.beta_row(spec.mixture_alphas[j].tolist(), spec.mixture_betas[j].tolist())
+        shape, j = lead + (spec.num_arms,), int(mu_star)
+        pairs = (np.broadcast_to(table[j], shape).ravel().tolist()
+                 for table in (spec.mixture_alphas, spec.mixture_betas))
+        theta = np.reshape(rng.beta_row(*pairs), shape)
         theta = np.clip(theta, BETA_MEAN_FLOOR, 1.0 - BETA_MEAN_FLOOR)
-        best = int(np.argmax(theta))
-        return TaskInstance(theta, best, float(theta[best]), theta)
-    theta = mvn_sample(mu_star, spec.sigma_0, rng)
-    if spec.family == LINEAR:
-        # the recorded optimum is the float max of these per-action means,
-        # which regret reads back, so regret is never < 0
-        scores = dot(spec.actions, theta)
-        best = int(np.argmax(scores))
-        return TaskInstance(theta, best, float(scores[best]), scores)
+    else:
+        theta = mvn_sample(np.broadcast_to(mu_star, lead + np.shape(mu_star)), spec.sigma_0, rng)
     if spec.family == SEMIBANDIT:
         subset = top_subset(theta, spec.budget)
-        return TaskInstance(theta, subset, float(theta[subset].sum()), theta)
-    best = int(np.argmax(theta))
-    return TaskInstance(theta, best, float(theta[best]), theta)
+        return TaskInstance(theta, subset, _per_run(theta, subset).sum(axis=-1), theta)
+    # a linear task's recorded optimum is the float max of its per-action
+    # means, which regret reads back, so regret is never < 0
+    means = dot(spec.actions, theta[..., None, :]) if spec.family == LINEAR else theta
+    best = np.argmax(means, axis=-1)
+    return TaskInstance(theta, best, _per_run(means, best), means)
 
 
-def stack_tasks(tasks, axis=0):
-    """One task per run, stacked along a leading run axis; with axis=1, m
-    stacks of one task per run become one stack with the leading shape
-    (runs, m).  The fields are C-contiguous, as `flat_view` needs."""
-    return TaskInstance(
-        np.stack([task.theta for task in tasks], axis),
-        np.stack([task.optimal_action for task in tasks], axis),
-        np.stack([task.optimal_value for task in tasks], axis),
-        np.stack([task.means for task in tasks], axis),
-    )
+def stack_tasks(tasks):
+    """Stacks of tasks with one leading shape, stacked along a new last axis
+    of it, the row axis: one task per row becomes a (rows,) stack, and the
+    (m,) stacks of each row's tasks become one (m, rows) stack.  The fields
+    are C-contiguous, as `flat_view` needs."""
+    axis = np.ndim(tasks[0].optimal_value)
+    return TaskInstance(*(np.stack([getattr(task, field.name) for task in tasks], axis)
+                          for field in fields(TaskInstance)))
 
 
 def _check_arm(spec, arm):
@@ -282,16 +283,12 @@ def _check_arm(spec, arm):
 
 def linear_feature(spec, action):
     """Feature vectors of linear actions: an index into the action set, or
-    one index per run, gives its row (per run).  With a (runs, K, d) action
-    set, `action` has a leading shape (runs,) or (runs, m), and each row
-    indexes its run's own set."""
-    action = np.asarray(action)
+    one index per row, gives its row.  With a (rows, K, d) action set,
+    `action` has a leading shape whose last axis is the rows, (rows,) or
+    (m, rows), and each row indexes its own set."""
     if spec.actions.ndim == 2:
         return spec.actions[action]
-    runs = np.arange(action.shape[0])
-    if action.ndim > 1:
-        runs = runs.reshape((-1,) + (1,) * (action.ndim - 1))
-    return spec.actions[runs, action]
+    return spec.actions[np.arange(spec.actions.shape[0]), action]
 
 
 def _check_subset(spec, arms):
@@ -342,7 +339,8 @@ def _row_offsets(shape, index_ndim):
 
 
 def _per_run(table, index):
-    """The entries of a (runs, width) `table` that `index` names per run."""
+    """The entries of `table` that `index` names per row of its leading
+    shape, as `flat_index` reads them."""
     return flat_view(table)[flat_index(table.shape, index)]
 
 
@@ -358,8 +356,8 @@ def realize_reward(spec, task, action, rng):
     """Draw the observed feedback for playing `action` in `task`.
 
     An action is an arm, an index into the linear action set, or a
-    semibandit subset of arms.  For a stack of tasks (see `stack_tasks`)
-    with the leading shape `rng.lead`, (runs,) or (runs, m), `action` holds
+    semibandit subset of arms.  For a stack of tasks (see TaskInstance)
+    with the leading shape `rng.lead`, (rows,) or (m, rows), `action` holds
     one action per row, `rng` is a RunStreams, and the result has one reward
     per row: an array of shape lead, or lead + (budget,) in the order of each
     row's sorted subset.  A one-run call (a task without a run axis,

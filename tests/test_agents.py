@@ -36,9 +36,9 @@ def test_scale_meta_prior():
     assert agents.initial_meta_posterior(spec, scale=1.0).var.tobytes() == prior.tobytes()
     assert np.allclose(agents.initial_meta_posterior(spec, scale=3.0).var, 9 * prior)
     assert np.allclose(agents.initial_meta_posterior(spec, scale=1 / 3).var, prior / 9)
-    per_row = agents.initial_meta_posterior(spec, (3, 4), scale=[1.0, 3.0, 1 / 3])
-    assert per_row.var.shape == (3, 4, 2)
-    assert np.allclose(per_row.var[:, 0], [prior, 9 * prior, prior / 9])
+    per_row = agents.initial_meta_posterior(spec, (4, 3), scale=[1.0, 3.0, 1 / 3])
+    assert per_row.var.shape == (4, 3, 2)
+    assert np.allclose(per_row.var[0], [prior, 9 * prior, prior / 9])
     mixture = hierarchy.mixture_env(1, alphas=[[9], [1]], betas=[[1], [9]])
     with pytest.raises(ValueError):
         agents.initial_meta_posterior(mixture, scale=3.0)

@@ -210,7 +210,6 @@ def test_block_draw_equals_mixed_size_sequential_draws():
 def test_run_streams_give_each_run_its_solo_draws():
     ids = [4, 9, 1]
     streams = gc.RunStreams([gc.RngStream(7, i) for i in ids], block=5)
-    assert streams.runs == 3
     drawn = np.array([streams.standard_normal(2) for _ in range(12)])  # crosses blocks
     assert drawn.shape == (12, 3, 2)
     for run, stream_id in enumerate(ids):
@@ -260,17 +259,17 @@ def test_run_streams_refuse_another_kind_while_draws_are_pending():
 @pytest.mark.parametrize("size", [(), (3,)])
 def test_task_axis_run_streams_give_each_task_its_draws(method, size):
     """A task axis lays the m tasks of each run side by side: the draw of
-    (run, task, round) is the one a per-task RunStreams gives that round."""
+    (task, run, round) is the one a per-task RunStreams gives that round."""
     ids, m, n = [4, 9, 1], 5, 7
     per_task = gc.RunStreams([gc.RngStream(7, i) for i in ids], block=n)
     at_once = gc.RunStreams([gc.RngStream(7, i) for i in ids], block=n, tasks=m)
-    assert at_once.lead == (3, m)
+    assert at_once.lead == (m, 3)
     task_by_task = np.array([getattr(per_task, method)(size) for _ in range(m * n)])
     all_tasks = np.array([getattr(at_once, method)(size) for _ in range(n)])
-    assert all_tasks.shape == (n, 3, m) + size
+    assert all_tasks.shape == (n, m, 3) + size
     for task in range(m):
         for t in range(n):
-            assert all_tasks[t, :, task].tobytes() == task_by_task[task * n + t].tobytes()
+            assert all_tasks[t, task].tobytes() == task_by_task[task * n + t].tobytes()
 
 
 def test_beta_row_draws_the_bits_of_one_array_call():
@@ -287,14 +286,23 @@ def test_beta_row_draws_the_bits_of_one_array_call():
 
 
 def test_mvn_sample_stack_matches_each_run():
+    """A RunStreams draws one row per run as each run would alone, and an
+    RngStream given an (m, d) mean draws the m rows that m one-row calls
+    draw from it, bit for bit."""
     rng = np.random.default_rng(10)
-    covs = np.stack([random_spd(rng, 3) for _ in range(4)])
-    means = rng.standard_normal((4, 3))
-    streams = gc.RunStreams([gc.RngStream(2, i) for i in range(4)], block=2)
-    draws = gc.mvn_sample(means, covs, streams)
-    for run in range(4):
-        alone = gc.mvn_sample(means[run], covs[run], gc.RngStream(2, run))
-        assert np.array_equal(draws[run], alone)
+    for dim in (2, 3, 4, 8, 16):
+        covs = np.stack([random_spd(rng, dim) for _ in range(4)])
+        means = rng.standard_normal((4, dim))
+        streams = gc.RunStreams([gc.RngStream(2, i) for i in range(4)], block=2)
+        draws = gc.mvn_sample(means, covs, streams)
+        for run in range(4):
+            alone = gc.mvn_sample(means[run], covs[run], gc.RngStream(2, run))
+            assert np.array_equal(draws[run], alone)
+        stacked, one = gc.RngStream(3, dim), gc.RngStream(3, dim)
+        rows = gc.mvn_sample(means, covs[0], stacked)
+        for row, mean in zip(rows, means):
+            assert row.tobytes() == gc.mvn_sample(mean, covs[0], one).tobytes()
+        assert stacked.random() == one.random()
 
 
 def test_mvn_sample_bitwise_reproducible():

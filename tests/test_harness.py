@@ -1,6 +1,7 @@
 """Experiment orchestration: determinism, shared tasks, aggregation."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -90,12 +91,13 @@ def test_batch_of_runs_equals_each_one_run_slice(family, common_tasks):
 
 
 def test_common_tasks_are_sampled_once_per_run(monkeypatch):
+    """Counts the tasks drawn: each call draws prod(lead) of them."""
     calls = {"n": 0}
     real = hierarchy.sample_task
 
-    def counting(spec, mu_star, rng):
-        calls["n"] += 1
-        return real(spec, mu_star, rng)
+    def counting(spec, mu_star, rng, lead=()):
+        calls["n"] += math.prod(lead)
+        return real(spec, mu_star, rng, lead)
 
     monkeypatch.setattr(hierarchy, "sample_task", counting)
     names = ("ts", "oracle-ts", "ada-ts")
@@ -256,7 +258,7 @@ def test_agents_that_play_all_tasks_at_once_replay_task_by_task(monkeypatch, fam
     config = small_config(agent_names=("ts", "oracle-ts"), spec=FAMILY_SPECS[family](),
                           runs=3, m=4, n=6, seed=19, common_tasks=common_tasks)
     trace = harness.run_experiment(config)
-    assert leads == [(config.runs, config.m)] * (2 * config.n)
+    assert leads == [(config.m, config.runs)] * (2 * config.n)
     monkeypatch.undo()
     for kind in config.agents:
         for run in range(config.runs):
@@ -284,7 +286,7 @@ def test_rescaled_agents_play_as_one_batch_with_the_bits_of_each_alone(monkeypat
                   common_tasks=common_tasks)
     trace = harness.run_experiment(small_config(agent_names=names, **kwargs))
     assert list(trace.instant) == list(names)
-    assert sorted(built) == [(3, 4), (9,)]
+    assert sorted(built) == [(4, 3), (9,)]
     monkeypatch.undo()
     for name in names:
         alone = harness.run_experiment(small_config(agent_names=(name,), **kwargs))

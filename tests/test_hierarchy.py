@@ -149,20 +149,58 @@ def test_linear_optimal_action():
     assert task.optimal_value == pytest.approx(2.0, abs=1e-2)
 
 
+def assert_stack_is_one_task_calls(spec, mu_star, seed, m=10):
+    """sample_task with the leading shape (m,) gives, field by field and bit
+    for bit, the m tasks that m one-task calls draw from the same stream,
+    and leaves the stream where they leave it."""
+    stacked_rng, one_rng = stream(seed), stream(seed)
+    stack = hierarchy.sample_task(spec, mu_star, stacked_rng, (m,))
+    for s in range(m):
+        task = hierarchy.sample_task(spec, mu_star, one_rng)
+        for field in ("theta", "optimal_action", "optimal_value", "means"):
+            one, stacked = np.asarray(getattr(task, field)), getattr(stack, field)[s]
+            assert (one.dtype, one.shape) == (stacked.dtype, stacked.shape), field
+            assert one.tobytes() == stacked.tobytes(), field
+    assert stacked_rng.random() == one_rng.random()
+    return stack
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
 def test_linear_scores_are_each_rows_dot_product(dim):
     """One stacked `dot` scores the action set with the bits of a per-row
-    `a @ theta`, so the recorded optimum is that of the per-row scores."""
+    `a @ theta`, so the recorded optimum is that of the per-row scores; a
+    run's tasks drawn as one stack are the tasks drawn one by one."""
     rng = stream(8, dim)
-    for _ in range(20):
+    for seed in range(20):
         actions = rng.uniform(-0.5, 0.5, size=(5 * dim, dim))
         actions /= np.maximum(1.0, np.linalg.norm(actions, axis=1))[:, None]
         spec = hierarchy.linear_env(dim, 1.0, 1.0, 1.0, actions=actions)
-        for _ in range(10):
-            task = hierarchy.sample_task(spec, rng.standard_normal(dim), rng)
-            rows = np.array([float(a @ task.theta) for a in actions])
-            assert task.means.tobytes() == rows.tobytes()
-            assert task.optimal_value == rows.max()
+        stack = assert_stack_is_one_task_calls(spec, rng.standard_normal(dim), seed)
+        for s in range(10):
+            rows = np.array([float(a @ stack.theta[s]) for a in actions])
+            assert stack.means[s].tobytes() == rows.tobytes()
+            assert stack.optimal_value[s] == rows.max()
+
+
+@pytest.mark.parametrize("family,budget", [
+    ("gaussian", None), ("semibandit", 3), ("semibandit", 9), ("mixture", None),
+])
+def test_stacked_tasks_are_the_one_task_calls(family, budget):
+    """The Gaussian and semibandit families, the latter where a subset sum
+    of 8 or more takes numpy's pairwise path, and a mixture with Beta
+    parameters <= 1, where numpy draws Beta variates by another algorithm."""
+    if family == "mixture":
+        spec = hierarchy.mixture_env(4, alphas=[[9, 1, 2, 6], [0.5, 0.8, 0.3, 1.0]],
+                                     betas=[[1, 9, 2, 1], [0.5, 0.9, 0.7, 0.2]])
+        mu_stars = [0, 1]
+    elif family == "semibandit":
+        spec = hierarchy.semibandit_env(12, budget, 0.5, 1.0, 1.0)
+        mu_stars = [stream(40, k).standard_normal(12) for k in range(3)]
+    else:
+        spec = hierarchy.gaussian_env(5, 0.5, [1.0, 0.1, 0.0, 2.0, 0.5], 1.0)
+        mu_stars = [stream(40, k).standard_normal(5) for k in range(3)]
+    for seed, mu_star in enumerate(mu_stars):
+        assert_stack_is_one_task_calls(spec, mu_star, seed)
 
 
 def test_mixture_task_draws_beta_means():
