@@ -17,7 +17,10 @@ into a meta-posterior over the task-prior mean (Gaussian families) or over
 the mixture component (Bernoulli mixture family).  One belief class per
 representation holds the meta-posterior and the task posteriors alike:
 DiagonalTaskPosterior (K-armed and semibandit), FullTaskPosterior (linear)
-and MixtureTaskState (Bernoulli mixture).
+and MixtureTaskState (Bernoulli mixture).  The two Gaussian beliefs answer
+one protocol: `update(observed, reward, noise_var)` conditions on an arm (or
+a row of arms) or a feature vector, and `sample(rng)` makes one draw per row
+of the mean beyond rng's leading shape, as gauss_core.mvn_sample does.
 
 The state of every family (posteriors, meta-posteriors, sufficient
 statistics) has a leading shape `lead`: (rows,) for many rows in lockstep,
@@ -162,9 +165,7 @@ def end_task_gaussian(meta, summary, spec):
     if np.any(pulled):
         obs_var = sigma0_var[pulled] + spec.noise_sigma**2 / counts[pulled]
         obs_mean = sums[pulled] / counts[pulled]
-        denom = var[pulled] + obs_var
-        mean[pulled] = (mean[pulled] * obs_var + obs_mean * var[pulled]) / denom
-        var[pulled] = var[pulled] * obs_var / denom
+        mean[pulled], var[pulled] = _fuse(mean[pulled], var[pulled], obs_mean, obs_var)
     return out
 
 
@@ -235,11 +236,20 @@ class LinearSummary:
         self.weighted += feature * np.asarray(reward)[..., None]
 
 
+def _fuse(mean, var, obs, obs_var):
+    """Independent Gaussian beliefs N(mean, var) fused with observations
+    `obs` of variance `obs_var`, in variance form: (mean, var) after."""
+    denom = var + obs_var
+    return (mean * obs_var + obs * var) / denom, var * obs_var / denom
+
+
 class DiagonalTaskPosterior:
     """Independent per-arm Gaussian belief, updated in variance form so
     zero-variance arms remain exact: a task posterior over theta, or the
     meta-posterior over the task-prior mean of the K-armed and semibandit
-    families.  `var` is repeated along any run axis `mean` has."""
+    families.  `var` is repeated along any run axis `mean` has.  It answers
+    `update` and `sample` as FullTaskPosterior does, and draws as one with
+    the covariance diag(var) would, bit for bit."""
 
     __slots__ = ("mean", "var")
 
@@ -250,22 +260,18 @@ class DiagonalTaskPosterior:
     def copy(self):
         return DiagonalTaskPosterior(self.mean, self.var)
 
-    def update_arm(self, arm, reward, noise_var):
+    def update(self, arm, reward, noise_var):
         """Condition on `reward` from `arm`: arms and rewards as in
         ArmSummary.add."""
         at = hierarchy.flat_index(self.var.shape, arm)
         mean, var = hierarchy.flat_view(self.mean), hierarchy.flat_view(self.var)
-        v = var[at]
-        denom = v + noise_var
-        mean[at] = (mean[at] * noise_var + reward * v) / denom
-        var[at] = v * noise_var / denom
+        mean[at], var[at] = _fuse(mean[at], var[at], reward, noise_var)
 
     def sample(self, rng):
-        return self.mean + np.sqrt(self.var) * rng.standard_normal(self.mean.shape[-1])
-
-    @property
-    def cov(self):
-        return np.diag(self.var)
+        """One draw per row of `mean` beyond rng's leading shape, as
+        mvn_sample draws them."""
+        z = rng.standard_normal(self.mean.shape[len(rng.lead):])
+        return self.mean + np.sqrt(self.var) * z
 
 
 class FullTaskPosterior:
@@ -276,8 +282,8 @@ class FullTaskPosterior:
     no update factors or inverts anything; the only factorization is the one
     `sample` needs.  The downdate term outer(cf, cf) is exactly symmetric,
     and a zero covariance (a point-mass prior) stays exactly zero.  `cov` is
-    repeated along any run axis `mean` has, and `update_feature` then takes
-    one feature and reward per run.
+    repeated along any run axis `mean` has, and `update` then takes one
+    feature and reward per run.
     """
 
     __slots__ = ("mean", "cov")
@@ -289,7 +295,7 @@ class FullTaskPosterior:
     def copy(self):
         return FullTaskPosterior(self.mean, self.cov)
 
-    def update_feature(self, feature, reward, noise_var):
+    def update(self, feature, reward, noise_var):
         cf = matvec(self.cov, feature)
         denom = noise_var + dot(feature, cf)
         gain = (reward - dot(feature, self.mean)) / denom
@@ -353,22 +359,6 @@ def ts_select(posterior, actions, rng):
     return np.argmax(theta, axis=-1)
 
 
-def update_task_posterior(posterior, action, observation, noise_sigma):
-    """Pure-functional conjugate update; returns a new posterior.
-
-    The action/observation pairing follows the family: (arm, reward) for
-    K-armed, (feature vector, reward) for linear, (int array of distinct
-    arms, array of their rewards) for semibandit; per run with a run axis.
-    """
-    out = posterior.copy()
-    noise_var = noise_sigma**2
-    if isinstance(out, FullTaskPosterior):
-        out.update_feature(np.asarray(action, dtype=float), observation, noise_var)
-    else:
-        out.update_arm(action, observation, noise_var)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Forced exploration
 # ---------------------------------------------------------------------------
@@ -400,13 +390,17 @@ def covering_subsets(num_arms, budget):
     return subsets
 
 
-def choose_spanning_actions(actions, floor=1e-6):
+# Smallest exploration strength (Gram eigenvalue) that counts as spanning.
+SPAN_FLOOR = 1e-6
+
+
+def choose_spanning_actions(actions):
     """Pick d actions from the set that jointly span, greedily maximizing the
     smallest eigenvalue of the running Gram matrix.
 
     Returns (row indices, eta) where eta is the smallest eigenvalue of the
-    chosen Gram.  Raises ValueError if the set cannot reach eta >= floor, as
-    a set of fewer than d actions never can.
+    chosen Gram.  Raises ValueError if the set cannot reach eta >= SPAN_FLOOR,
+    as a set of fewer than d actions never can.
     """
     actions = np.asarray(actions, dtype=float)
     num, dim = actions.shape
@@ -424,10 +418,10 @@ def choose_spanning_actions(actions, floor=1e-6):
         chosen.append(best_idx)
         gram += np.outer(actions[best_idx], actions[best_idx])
     eta = float(np.linalg.eigvalsh(gram)[0])
-    if eta < floor:
+    if eta < SPAN_FLOOR:
         raise ValueError(
             f"the {num} actions do not span R^{dim}: the best {len(chosen)} reach "
-            f"exploration strength {eta:.3g} < {floor:g}"
+            f"exploration strength {eta:.3g} < {SPAN_FLOOR:g}"
         )
     return chosen, eta
 
@@ -565,7 +559,11 @@ class GaussianFamilyAgent:
     an action and its reward, or the array of its arms' rewards.  Each row uses its own
     stream as it would alone; `begin_task` takes the (first) task number.
     ada-ts-forced works out its `opening_actions` once, when it is built: a
-    linear action set that cannot span R^d raises ValueError there.
+    linear action set that cannot span R^d raises ValueError there.  The
+    agent also decides there whether its family is linear: if so, `observe`
+    turns an action index into its feature vector before the belief and
+    the task summary see it, and `end_task` folds the task in with
+    end_task_linear instead of end_task_gaussian.
     """
 
     def __init__(self, kind, spec, rng, mu_star=None, scale=None):
@@ -579,7 +577,8 @@ class GaussianFamilyAgent:
             spec, self.lead, kind.scale if scale is None else scale)
         self.noise_var = spec.noise_sigma**2
         self._learns = kind.base in (META_TS, ADA_TS, ADA_TS_FORCED)
-        if spec.family == hierarchy.LINEAR:
+        self._linear = spec.family == hierarchy.LINEAR
+        if self._linear:
             self._actions = spec.actions
         elif spec.family == hierarchy.SEMIBANDIT:
             self._actions = (spec.num_arms, spec.budget)
@@ -594,10 +593,8 @@ class GaussianFamilyAgent:
 
     def begin_task(self, s, m):
         self.post = begin_task(self.kind, self.meta, self.spec, self.rng, self.mu_star)
-        if self.spec.family == hierarchy.LINEAR:
-            self.summary = LinearSummary(self.spec.dim, self.lead)
-        else:
-            self.summary = ArmSummary(self.spec.num_arms, self.lead)
+        summary = LinearSummary if self._linear else ArmSummary
+        self.summary = summary(self.spec.param_dim, self.lead)
         self.plan = self._opening if self._opening and s in exploring_tasks(m) else []
 
     def act(self, t):
@@ -606,21 +603,15 @@ class GaussianFamilyAgent:
         return ts_select(self.post, self._actions, self.rng)
 
     def observe(self, action, observation):
-        if self.spec.family == hierarchy.LINEAR:
-            feature = hierarchy.linear_feature(self.spec, action)
-            self.post.update_feature(feature, observation, self.noise_var)
-            self.summary.add(feature, observation)
-            return
-        self.post.update_arm(action, observation, self.noise_var)
+        if self._linear:
+            action = hierarchy.linear_feature(self.spec, action)
+        self.post.update(action, observation, self.noise_var)
         self.summary.add(action, observation)
 
     def end_task(self):
-        if not self._learns:
-            return
-        if self.spec.family == hierarchy.LINEAR:
-            self.meta = end_task_linear(self.meta, self.summary, self.spec)
-        else:
-            self.meta = end_task_gaussian(self.meta, self.summary, self.spec)
+        if self._learns:
+            fold = end_task_linear if self._linear else end_task_gaussian
+            self.meta = fold(self.meta, self.summary, self.spec)
 
 
 class MixtureFamilyAgent:

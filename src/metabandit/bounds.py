@@ -200,16 +200,15 @@ def extreme_eigenvalues(mat):
     return float(vals[-1]), float(vals[0])
 
 
-def inputs_from_env(spec, m, n, delta=None, eta=None, mu_star_norm_sq=None):
+def inputs_from_env(spec, m, n, delta=None, eta=None):
     """Reduce an environment spec to bound inputs.
 
-    ``delta`` defaults to 1/n**2.  ``mu_star_norm_sq`` defaults to the squared
-    norm of the meta-prior mean, the natural plug-in for Bayes regret.
+    ``delta`` defaults to 1/n**2.  ``mu_star_norm_sq`` is the squared norm of
+    the meta-prior mean, the natural plug-in for Bayes regret.
     """
     if delta is None:
         delta = 1.0 / n**2
-    if mu_star_norm_sq is None:
-        mu_star_norm_sq = float(spec.mu_q @ spec.mu_q)
+    mu_star_norm_sq = float(spec.mu_q @ spec.mu_q)
     if spec.family == hierarchy.LINEAR:
         lam_q1, _ = extreme_eigenvalues(spec.sigma_q)
         lam_01, lam_0d = extreme_eigenvalues(spec.sigma_0)

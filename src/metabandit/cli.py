@@ -25,7 +25,6 @@ import numpy as np
 
 from . import agents as agents_mod
 from . import bounds, harness, hierarchy
-from .gauss_core import RngStream
 
 
 def _checked(convert, ok, rule):
@@ -333,10 +332,9 @@ def emit_csv(curve, path):
 def _derived_eta(inv):
     """Exploration strength of the spanning actions a run-0 experiment would
     pick from its sampled action set."""
-    spec = build_spec(inv)
-    stream = RngStream(inv.seed or 0, harness._stream_id("tasks", "", 0))
-    run_spec = harness._sample_run_actions(spec, stream)
-    return agents_mod.choose_spanning_actions(run_spec.actions)[1]
+    stream = harness.stream(inv.seed or 0, "tasks", "", 0)
+    actions = hierarchy.sample_actions(build_spec(inv), stream)
+    return agents_mod.choose_spanning_actions(actions)[1]
 
 
 def _require_finite(curve):

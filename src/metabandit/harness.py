@@ -88,31 +88,22 @@ class AggregateCurve:
     stderr: dict             # label -> array (m, n)
 
 
-def _stream_id(purpose, label, run):
+def stream(seed, purpose, label, run):
+    """The stream of one (purpose, agent label, run) under `seed`; purpose is
+    "tasks", "rewards" or "agent", and the label of common tasks is ""."""
     digest = hashlib.sha256(f"{purpose}|{label}|{run}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    return RngStream(seed, int.from_bytes(digest[:8], "big"))
 
 
 def _stream(config, purpose, label, run):
     if purpose == "tasks" and config.common_tasks:
         label = ""
-    return RngStream(config.seed, _stream_id(purpose, label, run))
+    return stream(config.seed, purpose, label, run)
 
 
 def _streams(config, label, run):
     """(tasks, rewards, agent) streams for one unit of work."""
     return tuple(_stream(config, purpose, label, run) for purpose in ("tasks", "rewards", "agent"))
-
-
-def _sample_run_actions(spec, rng):
-    """Per-run linear action set, uniform on the centered unit box; vectors
-    that land outside the unit ball are pulled back onto it."""
-    actions = rng.uniform(-0.5, 0.5, size=(spec.num_arms, spec.dim))
-    norms = np.linalg.norm(actions, axis=1)
-    over = norms > 1.0
-    if np.any(over):
-        actions[over] /= norms[over, None]
-    return spec.with_actions(actions)
 
 
 def _task_digest(run_spec, mu_star, tasks):
@@ -146,10 +137,10 @@ def _sample_world(config, label, runs):
     spec, worlds = config.spec, []
     sampled = spec.family == hierarchy.LINEAR and spec.actions is None
     for run in runs:
-        tasks_rng = _stream(config, "tasks", label, run)
-        run_spec = _sample_run_actions(spec, tasks_rng) if sampled else spec
-        mu_star = hierarchy.sample_meta_parameter(run_spec, tasks_rng)
-        tasks = hierarchy.sample_task(run_spec, mu_star, tasks_rng, (config.m,))
+        rng = _stream(config, "tasks", label, run)
+        run_spec = spec.with_actions(hierarchy.sample_actions(spec, rng)) if sampled else spec
+        mu_star = hierarchy.sample_meta_parameter(run_spec, rng)
+        tasks = hierarchy.sample_task(run_spec, mu_star, rng, (config.m,))
         worlds.append((run_spec.actions, mu_star, tasks, _task_digest(run_spec, mu_star, tasks)))
     actions, mu_stars, tasks, digests = zip(*worlds)
     if sampled:

@@ -221,6 +221,18 @@ class TaskInstance:
         return TaskInstance(*(getattr(self, field.name)[index] for field in fields(self)))
 
 
+def sample_actions(spec, rng):
+    """A run's linear action set (num_arms, dim), uniform on the centered
+    unit box; vectors that land outside the unit ball are pulled back onto
+    it."""
+    actions = rng.uniform(-0.5, 0.5, size=(spec.num_arms, spec.dim))
+    norms = np.linalg.norm(actions, axis=1)
+    over = norms > 1.0
+    if np.any(over):
+        actions[over] /= norms[over, None]
+    return actions
+
+
 def sample_meta_parameter(spec, rng):
     """Draw mu_star from the meta-prior (a component index for mixtures)."""
     if spec.family == BERNOULLI_MIXTURE:

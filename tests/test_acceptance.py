@@ -194,9 +194,8 @@ def min_run_exploration_strength(spec, runs):
     achieve; the conservative bound input."""
     etas = []
     for run in range(runs):
-        rng = RngStream(SEED, harness._stream_id("tasks", "", run))
-        run_spec = harness._sample_run_actions(spec, rng)
-        _, eta = agents.choose_spanning_actions(run_spec.actions)
+        actions = hierarchy.sample_actions(spec, harness.stream(SEED, "tasks", "", run))
+        _, eta = agents.choose_spanning_actions(actions)
         etas.append(eta)
     return min(etas)
 
@@ -397,9 +396,8 @@ def concentration_monotone(sequences=1000):
             meta = new
         post = agents.DiagonalTaskPosterior(np.zeros(k), np.full(k, 1.0))
         for _ in range(3):
-            new_post = agents.update_task_posterior(
-                post, int(rng.integers(k)), float(rng.standard_normal()), 1.0
-            )
+            new_post = post.copy()
+            new_post.update(int(rng.integers(k)), float(rng.standard_normal()), 1.0)
             if np.any(new_post.var > post.var + 1e-15):
                 return False
             post = new_post

@@ -143,6 +143,19 @@ def test_select_symmetric_arms_even_split():
     assert abs(picks.mean() - 0.5) < 0.01
 
 
+def test_diagonal_belief_draws_the_rows_of_the_dense_one():
+    """Both Gaussian beliefs draw one row per row of the mean beyond the
+    stream's leading shape: a stacked diagonal belief gives three different
+    rows from one stream, the rows that a dense belief with covariance
+    diag(var) draws from the same stream, bit for bit."""
+    mean = np.tile([0.3, -1.2], (3, 1))
+    var = np.array([0.5, 2.0])
+    diag = agents.DiagonalTaskPosterior(mean, var).sample(RngStream(4))
+    full = agents.FullTaskPosterior(mean, np.diag(var)).sample(RngStream(4))
+    assert len({row.tobytes() for row in diag}) == 3
+    assert diag.tobytes() == full.tobytes()
+
+
 def test_select_shift_invariant():
     class Fixed:
         def __init__(self, theta):
@@ -172,7 +185,8 @@ def test_select_tie_breaks_to_lowest_index():
 
 def test_single_pull_scalar_conjugacy():
     post = agents.DiagonalTaskPosterior([0.0], [0.25])
-    out = agents.update_task_posterior(post, 0, 1.0, 1.0)
+    out = post.copy()
+    out.update(0, 1.0, 1.0)
     assert out.mean[0] == pytest.approx(0.25 / 1.25)
     assert out.var[0] == pytest.approx(0.25 / 1.25)
     # the original is untouched
@@ -181,7 +195,8 @@ def test_single_pull_scalar_conjugacy():
 
 def test_empty_semibandit_observation_is_identity():
     post = agents.DiagonalTaskPosterior([0.1, 0.2], [0.3, 0.4])
-    out = agents.update_task_posterior(post, np.array([], dtype=int), np.array([]), 1.0)
+    out = post.copy()
+    out.update(np.array([], dtype=int), np.array([]), 1.0)
     assert np.array_equal(out.mean, post.mean)
     assert np.array_equal(out.var, post.var)
 
@@ -191,10 +206,10 @@ def test_linear_basis_pulls_match_per_arm_updates():
     full = agents.FullTaskPosterior([0.0, 0.0], 0.5 * np.eye(2))
     rewards = [0.8, -0.3]
     for arm, y in enumerate(rewards):
-        diag = agents.update_task_posterior(diag, arm, y, 1.0)
-        full = agents.update_task_posterior(full, np.eye(2)[arm], y, 1.0)
+        diag.update(arm, y, 1.0)
+        full.update(np.eye(2)[arm], y, 1.0)
     assert np.allclose(full.mean, diag.mean, atol=1e-12)
-    assert np.allclose(full.cov, diag.cov, atol=1e-12)
+    assert np.allclose(full.cov, np.diag(diag.var), atol=1e-12)
 
 
 def test_incremental_linear_equals_batch_normal_equations():
@@ -208,7 +223,7 @@ def test_incremental_linear_equals_batch_normal_equations():
         y = rng.standard_normal()
         feats.append(a)
         ys.append(y)
-        post = agents.update_task_posterior(post, a, y, 1.0)
+        post.update(a, y, 1.0)
     feats = np.array(feats)
     prec = spd_inverse(prior_cov) + feats.T @ feats
     mean = solve_spd(prec, spd_inverse(prior_cov) @ prior_mean + feats.T @ np.array(ys))
@@ -229,7 +244,7 @@ def test_rank_one_updates_track_batch_normal_equations(dim):
     feats = rng.uniform(-0.5, 0.5, size=(1000, dim))
     ys = rng.standard_normal(1000)
     for a, y in zip(feats, ys):
-        post.update_feature(a, y, noise_var)
+        post.update(a, y, noise_var)
     prior_prec = spd_inverse(prior_cov)
     prec = prior_prec + feats.T @ feats / noise_var
     mean = solve_spd(prec, prior_prec @ prior_mean + feats.T @ ys / noise_var)
@@ -242,7 +257,7 @@ def test_zero_width_task_prior_stays_point_mass():
     post = agents.FullTaskPosterior(center, np.zeros((3, 3)))
     rng = np.random.default_rng(18)
     for _ in range(50):
-        post.update_feature(rng.uniform(-0.5, 0.5, 3), float(rng.standard_normal()), 1.0)
+        post.update(rng.uniform(-0.5, 0.5, 3), float(rng.standard_normal()), 1.0)
     assert np.array_equal(post.mean, center)
     assert np.array_equal(post.cov, np.zeros((3, 3)))
 
@@ -517,7 +532,8 @@ def test_monotone_concentration_random_sequences():
         post = agents.FullTaskPosterior(np.zeros(k), np.eye(k))
         for _ in range(3):
             a = rng.uniform(-0.5, 0.5, k)
-            new_post = agents.update_task_posterior(post, a, float(rng.standard_normal()), 1.0)
+            new_post = post.copy()
+            new_post.update(a, float(rng.standard_normal()), 1.0)
             cholesky(post.cov - new_post.cov)  # PSD or NotPsd raises
             post = new_post
 

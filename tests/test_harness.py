@@ -186,7 +186,7 @@ def _replay_run(config, kind, run):
     spec = config.spec
     tasks_rng, rewards_rng, agent_rng = harness._streams(config, kind.label, run)
     if spec.family == hierarchy.LINEAR and spec.actions is None:
-        spec = harness._sample_run_actions(spec, tasks_rng)
+        spec = spec.with_actions(hierarchy.sample_actions(spec, tasks_rng))
     mu_star = hierarchy.sample_meta_parameter(spec, tasks_rng)
     tasks = [hierarchy.sample_task(spec, mu_star, tasks_rng) for _ in range(config.m)]
     if spec.family == hierarchy.BERNOULLI_MIXTURE:
