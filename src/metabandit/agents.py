@@ -17,9 +17,13 @@ into a meta-posterior over the task-prior mean (Gaussian families) or over
 the mixture component (Bernoulli mixture family).  One belief class per
 representation holds the meta-posterior and the task posteriors alike:
 DiagonalTaskPosterior (K-armed and semibandit), FullTaskPosterior (linear)
-and MixtureTaskState (Bernoulli mixture).  The two Gaussian beliefs answer
-one protocol: `update(observed, reward, noise_var)` conditions on an arm (or
-a row of arms) or a feature vector, and `sample(rng)` makes one draw per row
+and MixtureTaskState (Bernoulli mixture).  All three answer one protocol,
+so one `begin_task` and one agent serve every family: `update(observed,
+reward, noise_var)` conditions on an arm (or a row of arms) or a feature
+vector (the mixture ignores `noise_var`); a meta-posterior's
+`task_prior(spec)` is the task prior integrated over it, `draw(rng)` draws
+one meta-parameter per row, and `centered(center, spec)` is the task prior
+at a meta-parameter.  The Gaussian beliefs `sample(rng)` one draw per row
 of the mean beyond rng's leading shape, as gauss_core.mvn_sample does.
 
 The state of every family (posteriors, meta-posteriors, sufficient
@@ -248,8 +252,8 @@ class DiagonalTaskPosterior:
     zero-variance arms remain exact: a task posterior over theta, or the
     meta-posterior over the task-prior mean of the K-armed and semibandit
     families.  `var` is repeated along any run axis `mean` has.  It answers
-    `update` and `sample` as FullTaskPosterior does, and draws as one with
-    the covariance diag(var) would, bit for bit."""
+    the protocol as FullTaskPosterior does, and draws as one with the
+    covariance diag(var) would, bit for bit."""
 
     __slots__ = ("mean", "var")
 
@@ -272,6 +276,15 @@ class DiagonalTaskPosterior:
         mvn_sample draws them."""
         z = rng.standard_normal(self.mean.shape[len(rng.lead):])
         return self.mean + np.sqrt(self.var) * z
+
+    draw = sample
+
+    def task_prior(self, spec):
+        return DiagonalTaskPosterior(self.mean, self.var + np.diag(spec.sigma_0))
+
+    def centered(self, center, spec):
+        center = np.broadcast_to(center, self.mean.shape)
+        return DiagonalTaskPosterior(center, np.diag(spec.sigma_0))
 
 
 class FullTaskPosterior:
@@ -305,39 +318,40 @@ class FullTaskPosterior:
     def sample(self, rng):
         return mvn_sample(self.mean, self.cov, rng)
 
+    def draw(self, rng):
+        """`sample`, except that a point mass returns its mean exactly and
+        draws nothing, where a Cholesky factor would add jitter noise.  With
+        a run axis the test covers all runs; they agree, since the
+        meta-update keeps a covariance zero exactly when the meta-prior is
+        zero."""
+        if not np.any(self.cov):
+            return self.mean
+        return self.sample(rng)
+
+    def task_prior(self, spec):
+        return FullTaskPosterior(self.mean, self.cov + spec.sigma_0)
+
+    def centered(self, center, spec):
+        return FullTaskPosterior(np.broadcast_to(center, self.mean.shape), spec.sigma_0)
+
 
 def begin_task(kind, meta, spec, rng, mu_star=None):
     """Task prior for a fresh task under the given policy, with the leading
-    shape of `meta`; `mu_star` broadcasts against it from the right.
-
-    ts, ada-ts and ada-ts-forced play the meta-posterior widened by sigma_0;
-    ts never updates its meta-posterior, so it plays the meta-prior.
-    Gaussian families only; the mixture analogue lives in MixtureFamilyAgent.
-    """
-    sigma_0 = spec.sigma_0
-    diagonal = isinstance(meta, DiagonalTaskPosterior)
+    shape of the meta-posterior `meta` of any family; `mu_star` broadcasts
+    against it from the right.  ts, ada-ts and ada-ts-forced integrate the
+    meta-posterior into the task prior (ts never updates it); meta-ts
+    centres the task prior on one draw of it, oracle-ts on mu_star, and
+    misassigned-ts on the mixture component after mu_star's."""
     if kind.base in (AGNOSTIC_TS, ADA_TS, ADA_TS_FORCED):
-        if diagonal:
-            return DiagonalTaskPosterior(meta.mean, meta.var + np.diag(sigma_0))
-        return FullTaskPosterior(meta.mean, meta.cov + sigma_0)
+        return meta.task_prior(spec)
     if kind.base == META_TS:
-        if not diagonal and not np.any(meta.cov):
-            # Point mass: sample exactly, drawing nothing, where a Cholesky
-            # factor would add jitter noise.  With a run axis the test covers
-            # all runs; they agree, since the meta-update keeps a covariance
-            # zero exactly when the meta-prior is zero.
-            center = meta.mean
-        else:
-            center = meta.sample(rng)
-    elif kind.base == ORACLE_TS:
-        if mu_star is None:
-            raise ValueError("oracle-ts needs the true mu_star")
-        center = np.broadcast_to(np.asarray(mu_star, dtype=float), meta.mean.shape)
-    else:
-        raise UnknownAgent(f"{kind.base!r} has no Gaussian task prior")
-    if diagonal:
-        return DiagonalTaskPosterior(center, np.diag(sigma_0))
-    return FullTaskPosterior(center, sigma_0)
+        return meta.centered(meta.draw(rng), spec)
+    if mu_star is None:
+        raise ValueError(f"{kind.base} needs the true mu_star")
+    if kind.base == MISASSIGNED_TS:
+        require_family(kind, spec.family)
+        mu_star = (np.asarray(mu_star) + 1) % spec.num_components
+    return meta.centered(mu_star, spec)
 
 
 def ts_select(posterior, actions, rng):
@@ -499,10 +513,11 @@ class MixtureTaskState:
     def weights(self):
         return np.exp(self.log_weights)
 
-    def update(self, arm, outcome):
+    def update(self, arm, outcome, noise_var):
         """Condition on one Bernoulli observation, or on one per run: the
         components are reweighted by their predictive probability, then their
-        Beta posteriors absorb the outcome."""
+        Beta posteriors absorb the outcome.  `noise_var` is ignored: a
+        Bernoulli outcome carries its own noise."""
         outcome = np.asarray(outcome, dtype=float)
         if not np.all((outcome == 0.0) | (outcome == 1.0)):
             raise ValueError(f"Bernoulli outcome must be 0 or 1, got {outcome!r}")
@@ -516,20 +531,34 @@ class MixtureTaskState:
         alphas[at] = a + hit
         betas[at] = b + (1.0 - hit)
 
+    def task_prior(self, spec):
+        return MixtureTaskState(self.log_weights, spec.mixture_alphas, spec.mixture_betas)
+
+    def draw(self, rng):
+        """One component per row of the log-weights, picked by one `random()`
+        from each of rng's streams in turn."""
+        u = np.reshape([stream.random() for stream in rng.streams], self.log_weights.shape[:-1])
+        return hierarchy.pick_component(self.weights, u)
+
+    def centered(self, center, spec):
+        log_w = np.full(self.log_weights.shape, -np.inf)
+        at = hierarchy.flat_index(log_w.shape, np.asarray(center, dtype=int))
+        hierarchy.flat_view(log_w)[at] = 0.0
+        return MixtureTaskState(log_w, spec.mixture_alphas, spec.mixture_betas)
+
 
 def mixture_ts_select(state, rng):
     """Sample a component, then arm means from its Beta posteriors, and play
     the greedy arm; ties to the lowest index.
 
     The result holds one arm per run of the leading shape of `state`, whose
-    runs are the streams of `rng`.  Each run's stream gives one `random()`,
+    runs are the streams of `rng`.  Each run's stream gives one `random()`
+    (the component, picked by `state.draw` as meta-ts picks its task's),
     then one scalar Beta draw per arm, as it would alone: Beta draws use a
     variable amount of stream, so they cannot be drawn in blocks.
     """
     streams = rng.streams
-    u = np.array([stream.random() for stream in streams])
-    log_w = state.log_weights.reshape(len(streams), -1)
-    rows = hierarchy.flat_index(log_w.shape, hierarchy.pick_component(np.exp(log_w), u))
+    rows = np.ravel(hierarchy.flat_index(state.log_weights.shape, state.draw(rng)))
     num_arms = state.alphas.shape[-1]
     alphas = state.alphas.reshape(-1, num_arms)[rows].tolist()
     betas = state.betas.reshape(-1, num_arms)[rows].tolist()
@@ -542,8 +571,8 @@ def mixture_ts_select(state, rng):
 # ---------------------------------------------------------------------------
 
 
-class GaussianFamilyAgent:
-    """One policy's state across a run of tasks (Gaussian reward families).
+class _FamilyAgent:
+    """One policy's state across a run of tasks, for every reward family.
 
     The agent plays the rows of `rng` in lockstep with the leading shape
     `lead` = `rng.lead`: (R,) for a RunStreams of R rows, (m, R) for one
@@ -554,16 +583,17 @@ class GaussianFamilyAgent:
     stands in for `kind.scale`, so ada-ts, ada-ts+ and ada-ts- play as one
     agent.  All state has the leading shape; so has each action of `act`:
     an arm or a linear index into the row's action set, or a sorted int
-    array of arms.  `mu_star` (R, P) and a linear action set, shared or one
-    (K, d) per row, broadcast against lead from the right.  `observe` takes
-    an action and its reward, or the array of its arms' rewards.  Each row uses its own
-    stream as it would alone; `begin_task` takes the (first) task number.
+    array of arms.  `mu_star` (R, P), or each run's mixture component, and
+    a linear action set, shared or one (K, d) per row, broadcast against
+    lead from the right.  `observe` takes an action and its reward, or the
+    array of its arms' rewards.  Each row uses its own stream as it would
+    alone; `begin_task` takes the (first) task number and sets the task
+    posterior `post` to the policy's task prior (module `begin_task`).
     ada-ts-forced works out its `opening_actions` once, when it is built: a
-    linear action set that cannot span R^d raises ValueError there.  The
-    agent also decides there whether its family is linear: if so, `observe`
-    turns an action index into its feature vector before the belief and
-    the task summary see it, and `end_task` folds the task in with
-    end_task_linear instead of end_task_gaussian.
+    linear action set that cannot span R^d raises ValueError there.  A
+    linear `observe` turns an action index into its feature vector first,
+    and `end_task` folds the task in with end_task_linear, mixture_update or
+    end_task_gaussian, by family.
     """
 
     def __init__(self, kind, spec, rng, mu_star=None, scale=None):
@@ -578,6 +608,7 @@ class GaussianFamilyAgent:
         self.noise_var = spec.noise_sigma**2
         self._learns = kind.base in (META_TS, ADA_TS, ADA_TS_FORCED)
         self._linear = spec.family == hierarchy.LINEAR
+        self._mixture = spec.family == hierarchy.BERNOULLI_MIXTURE
         if self._linear:
             self._actions = spec.actions
         elif spec.family == hierarchy.SEMIBANDIT:
@@ -609,69 +640,30 @@ class GaussianFamilyAgent:
         self.summary.add(action, observation)
 
     def end_task(self):
-        if self._learns:
+        if self._learns and self._mixture:
+            self.meta = mixture_update(self.meta, self.summary)
+        elif self._learns:
             fold = end_task_linear if self._linear else end_task_gaussian
             self.meta = fold(self.meta, self.summary, self.spec)
 
 
-class MixtureFamilyAgent:
-    """Policy state across a run of Bernoulli-mixture tasks.
+class GaussianFamilyAgent(_FamilyAgent):
+    """The agent of the Gaussian reward families: K-armed, linear and
+    semibandit.  It and MixtureFamilyAgent are siblings, neither the other's
+    subclass, so a tracer that wraps each class's methods wraps none twice."""
+
+
+class MixtureFamilyAgent(_FamilyAgent):
+    """The agent of the Bernoulli mixture family.
 
     ``ada-ts`` keeps the full component posterior; ``meta-ts`` samples one
     component per task; ``oracle-ts`` pins the true component and
     ``misassigned-ts`` pins a wrong one; ``ts`` plays as ada-ts but never
     updates its component posterior, so every task starts from the prior
-    weights.
-
-    The agent plays the runs of `rng` in lockstep with the leading shape
-    `lead` = `rng.lead`, as GaussianFamilyAgent does: `mu_star` holds each
-    run's component, the component log-weights are lead + (C,), the Beta
-    tables lead + (C, K), and `act` returns one arm per run.  Only the
-    agent's draws are made run by run, from each run's own stream in the
-    order it would use alone.  `scale`, as for GaussianFamilyAgent, must be
-    1: a mixture meta-prior has no width to rescale.
+    weights.  Only the agent's draws are made run by run, from each run's
+    own stream in the order it would use alone.  `scale` must be 1: a
+    mixture meta-prior has no width to rescale.
     """
 
-    def __init__(self, kind, spec, rng, mu_star=None, scale=None):
-        require_family(kind, spec.family)
-        self.kind = kind
-        self.spec = spec
-        self.rng = rng
-        self.lead = rng.lead
-        self.true_component = None if mu_star is None else np.asarray(mu_star, dtype=int)
-        self.meta = initial_meta_posterior(spec, self.lead, 1.0 if scale is None else scale)
-        self._learns = kind.base in (META_TS, ADA_TS)
-        self.state = None
-        self.summary = None
-
-    def _point_mass(self, j):
-        shape = self.meta.log_weights.shape
-        log_w = np.full(shape, -np.inf)
-        hierarchy.flat_view(log_w)[hierarchy.flat_index(shape, j)] = 0.0
-        return log_w
-
-    def begin_task(self, s, m):
-        if self.kind.base in (AGNOSTIC_TS, ADA_TS):
-            log_w = self.meta.log_weights
-        elif self.kind.base == META_TS:
-            u = np.reshape([stream.random() for stream in self.rng.streams], self.lead)
-            log_w = self._point_mass(hierarchy.pick_component(self.meta.weights, u))
-        elif self.kind.base == ORACLE_TS:
-            log_w = self._point_mass(self.true_component)
-        else:  # misassigned-ts
-            log_w = self._point_mass((self.true_component + 1) % self.spec.num_components)
-        self.state = MixtureTaskState(
-            log_w, self.spec.mixture_alphas, self.spec.mixture_betas
-        )
-        self.summary = ArmSummary(self.spec.num_arms, self.lead)
-
     def act(self, t):
-        return mixture_ts_select(self.state, self.rng)
-
-    def observe(self, action, observation):
-        self.state.update(action, observation)
-        self.summary.add(action, observation)
-
-    def end_task(self):
-        if self._learns:
-            self.meta = mixture_update(self.meta, self.summary)
+        return mixture_ts_select(self.post, self.rng)

@@ -253,6 +253,12 @@ def _validate(parser, inv):
             agents_mod.require_family(agents_mod.AgentKind.from_name(name), inv.env)
         except agents_mod.UnknownAgent as err:
             parser.error(f"--agents: {err}")
+    if inv.command == "sweep":
+        names = [name for name, _ in _sweep_cells(inv)]
+        for name in names:
+            if names.count(name) > 1:
+                parser.error(f"two sweep cells would write {name}: their sizes, or "
+                             f"their widths in :g format, must differ")
 
 
 def _format_value(value):
@@ -373,20 +379,23 @@ def _cmd_bound(inv):
 
 
 def _sweep_cells(inv):
-    """A sweep's cells as (tag, cell): each cell is `inv` with one --sigma-q
-    width and one size on the family's size flag, --dim or --arms."""
+    """A sweep's cells as (file name, cell): each cell is `inv` with one
+    --sigma-q width and one size on the family's size flag, --dim or --arms.
+    The name tags the width in `:g` format, so two widths it prints alike
+    name one file, which _validate refuses."""
     size, letter = ("dim", "d") if inv.env == hierarchy.LINEAR else ("arms", "K")
     for sq in inv.sigma_q or (None,):  # only the mixture family has none
         for value in getattr(inv, size):
             tag = f"{letter}{value}" if sq is None else f"sq{sq:g}_{letter}{value}"
             widths = inv.sigma_q if sq is None else (sq,)
-            yield tag, argparse.Namespace(**{**vars(inv), "sigma_q": widths, size: (value,)})
+            cell = argparse.Namespace(**{**vars(inv), "sigma_q": widths, size: (value,)})
+            yield f"{inv.env}_{tag}.csv", cell
 
 
 def _cmd_sweep(inv):
     os.makedirs(inv.out, exist_ok=True)
-    for tag, cell in _sweep_cells(inv):
-        _write_curve(cell, os.path.join(inv.out, f"{inv.env}_{tag}.csv"))
+    for name, cell in _sweep_cells(inv):
+        _write_curve(cell, os.path.join(inv.out, name))
     return 0
 
 

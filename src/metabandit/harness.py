@@ -101,11 +101,6 @@ def _stream(config, purpose, label, run):
     return stream(config.seed, purpose, label, run)
 
 
-def _streams(config, label, run):
-    """(tasks, rewards, agent) streams for one unit of work."""
-    return tuple(_stream(config, purpose, label, run) for purpose in ("tasks", "rewards", "agent"))
-
-
 def _task_digest(run_spec, mu_star, tasks):
     h = hashlib.sha256()
     if run_spec.family == hierarchy.LINEAR:

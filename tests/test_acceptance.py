@@ -86,7 +86,10 @@ def mixture_panel():
     )
     true_weights = []
     for run in range(runs):
-        tasks_rng, rewards_rng, agent_rng = harness._streams(config, kind.label, run)
+        # common tasks: the task stream drops the agent label
+        tasks_rng = harness.stream(SEED, "tasks", "", run)
+        rewards_rng = harness.stream(SEED, "rewards", kind.label, run)
+        agent_rng = harness.stream(SEED, "agent", kind.label, run)
         component = hierarchy.sample_meta_parameter(spec, tasks_rng)
         tasks = [hierarchy.sample_task(spec, component, tasks_rng) for _ in range(m)]
         agent = agents.MixtureFamilyAgent(kind, spec, agent_rng, component)

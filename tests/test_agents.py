@@ -105,6 +105,97 @@ def test_oracle_prior_centres_on_mu_star():
         agents.begin_task(agents.AgentKind("oracle-ts"), meta, spec, RngStream(0))
 
 
+FAMILY_SPECS = {
+    "gaussian": lambda: hierarchy.gaussian_env(3, 0.5, [0.1, 0.0, 0.2], 1.0),
+    "semibandit": lambda: hierarchy.semibandit_env(4, 2, 0.5, 0.1, 1.0),
+    "linear": lambda: hierarchy.linear_env(2, 1.0, 0.1, 1.0, num_arms=6),
+    "bernoulli-mixture": lambda: hierarchy.mixture_env(
+        2, alphas=[[9, 1], [1, 9], [2, 2]], betas=[[1, 9], [9, 1], [2, 2]],
+        weights=[0.2, 0.5, 0.3]),
+}
+
+
+def _prior_at(spec, center, width):
+    """The task prior of `spec`'s family written out: N(center, width) for
+    the Gaussian families, or for the mixture the component log-weights
+    `center` with the prior's Beta tables."""
+    if spec.family == hierarchy.BERNOULLI_MIXTURE:
+        return agents.MixtureTaskState(center, spec.mixture_alphas, spec.mixture_betas)
+    if spec.family == hierarchy.LINEAR:
+        return agents.FullTaskPosterior(center, width)
+    return agents.DiagonalTaskPosterior(center, width)
+
+
+def _assert_same_belief(got, expected):
+    assert type(got) is type(expected)
+    for name in expected.__slots__:
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+def test_begin_task_serves_every_family(family):
+    """One begin_task gives each policy its task prior, whatever the belief:
+    ts and ada-ts the meta-posterior integrated into the task prior, and the
+    others the task prior centred on a meta-parameter: oracle-ts on mu_star,
+    misassigned-ts on the next component, meta-ts on one draw of the
+    meta-posterior, which uses the stream as `meta.draw` does."""
+    spec, runs = FAMILY_SPECS[family](), 3
+    mixture = family == "bernoulli-mixture"
+    meta = agents.initial_meta_posterior(spec, (runs,))
+    data = np.random.default_rng(29)
+    if mixture:
+        # the Beta tables move off the prior's, which a task prior keeps
+        meta.update(np.array([0, 1, 0]), np.array([1.0, 0.0, 1.0]), None)
+        mu_star = np.array([0, 1, 2])
+        integrated = _prior_at(spec, meta.log_weights, None)
+
+        def centered(center):
+            return _prior_at(spec, np.where(np.arange(3) == center[:, None], 0.0, -np.inf), None)
+    else:
+        linear = family == "linear"
+        observed = data.uniform(-0.5, 0.5, (runs, 2)) if linear else np.arange(runs)
+        meta.update(observed, data.standard_normal(runs), 1.0)
+        mu_star = data.standard_normal((runs, spec.param_dim))
+        width = spec.sigma_0 if linear else np.diag(spec.sigma_0)
+        integrated = _prior_at(spec, meta.mean, (meta.cov if linear else meta.var) + width)
+
+        def centered(center):
+            return _prior_at(spec, center, width)
+
+    def rng():
+        return RunStreams([RngStream(31, r) for r in range(runs)], block=2)
+
+    for name in ("ts", "ada-ts"):
+        _assert_same_belief(agents.begin_task(agents.AgentKind(name), meta, spec, rng()),
+                            integrated)
+    oracle = agents.begin_task(agents.AgentKind("oracle-ts"), meta, spec, rng(), mu_star)
+    _assert_same_belief(oracle, centered(mu_star))
+    if mixture:
+        assert np.array_equal(np.exp(oracle.log_weights), np.eye(3)[mu_star])
+        wrong = agents.begin_task(agents.AgentKind("misassigned-ts"), meta, spec, rng(), mu_star)
+        _assert_same_belief(wrong, centered(np.array([1, 2, 0])))
+    else:
+        with pytest.raises(agents.UnknownAgent):
+            agents.begin_task(agents.AgentKind("misassigned-ts"), meta, spec, rng(), mu_star)
+
+    played, drawn = rng(), rng()
+    post = agents.begin_task(agents.AgentKind("meta-ts"), meta, spec, played)
+    _assert_same_belief(post, centered(meta.draw(drawn)))
+    assert [s.random() for s in played.streams] == [s.random() for s in drawn.streams]
+
+
+def test_point_mass_linear_meta_ts_draws_nothing():
+    """A point-mass dense meta-posterior is its own draw: meta-ts centres on
+    its mean exactly and leaves the stream untouched."""
+    spec = FAMILY_SPECS["linear"]()
+    meta = agents.FullTaskPosterior(np.array([[0.3, -0.2], [0.1, 0.4]]), np.zeros((2, 2)))
+    played = RunStreams([RngStream(32, r) for r in range(2)], block=2)
+    post = agents.begin_task(agents.AgentKind("meta-ts"), meta, spec, played)
+    _assert_same_belief(post, agents.FullTaskPosterior(meta.mean, spec.sigma_0))
+    fresh = [RngStream(32, r).random() for r in range(2)]
+    assert [s.random() for s in played.streams] == fresh
+
+
 def test_degenerate_meta_ts_equals_ada_ts():
     spec = gauss_spec()
     meta = agents.DiagonalTaskPosterior([0.7, -0.1], [0.0, 0.0])
@@ -717,7 +808,7 @@ def test_within_task_weights_match_end_of_task_marginals():
     history = [(0, 1), (1, 0), (0, 1), (0, 0), (1, 1)]
     state = agents.MixtureTaskState(meta.log_weights, meta.alphas, meta.betas)
     for arm, outcome in history:
-        state.update(arm, outcome)
+        state.update(arm, outcome, None)
     end = agents.mixture_update(meta, outcomes(history, 2))
     assert np.allclose(np.exp(state.log_weights), end.weights, atol=1e-12)
 
@@ -726,8 +817,8 @@ def test_within_task_beta_posteriors_accumulate_counts():
     spec = mixture_spec(num_arms=2)
     meta = agents.initial_meta_posterior(spec)
     state = agents.MixtureTaskState(meta.log_weights, meta.alphas, meta.betas)
-    state.update(0, 1)
-    state.update(0, 0)
+    state.update(0, 1, None)
+    state.update(0, 0, None)
     assert np.allclose(state.alphas[:, 0], meta.alphas[:, 0] + 1)
     assert np.allclose(state.betas[:, 0], meta.betas[:, 0] + 1)
     assert np.allclose(state.alphas[:, 1], meta.alphas[:, 1])
@@ -782,10 +873,10 @@ def test_mixture_agent_kinds_pin_expected_components():
     rng = RngStream(8)
     oracle = agents.MixtureFamilyAgent(agents.AgentKind("oracle-ts"), spec, rng, mu_star=1)
     oracle.begin_task(1, 5)
-    assert np.allclose(np.exp(oracle.state.log_weights), [0.0, 1.0])
+    assert np.allclose(np.exp(oracle.post.log_weights), [0.0, 1.0])
     wrong = agents.MixtureFamilyAgent(agents.AgentKind("misassigned-ts"), spec, rng, mu_star=1)
     wrong.begin_task(1, 5)
-    assert np.allclose(np.exp(wrong.state.log_weights), [1.0, 0.0])
+    assert np.allclose(np.exp(wrong.post.log_weights), [1.0, 0.0])
     with pytest.raises(agents.UnknownAgent):
         agents.MixtureFamilyAgent(agents.AgentKind("ada-ts-forced"), spec, rng)
 

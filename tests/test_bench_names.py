@@ -26,3 +26,19 @@ def test_every_traced_lookup_resolves():
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+def test_tracer_wraps_nothing_twice():
+    """A wrapped method that one wrapped class inherits from another would be
+    wrapped twice and count each call twice: every original the tracer
+    replaces is unwrapped, and it replaces each (owner, attribute) once."""
+    spans = load_spans()
+    tracer = spans.Tracer(wrapper_ns=(0.0, 0.0))
+    tracer.install()
+    try:
+        restore = tracer._restore
+        assert [attr for _, attr, original, _ in restore if hasattr(original, "__wrapped__")] == []
+        pairs = [(owner, attr) for owner, attr, _, _ in restore]
+        assert len(pairs) == len(set(pairs))
+    finally:
+        tracer.uninstall()

@@ -691,6 +691,21 @@ def test_sweep_writes_one_csv_per_cell(tmp_path, capsys):
         assert p.read_text().splitlines()[0] == "agent,task,round,mean_cum_regret,stderr"
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--arms", "2", "--sigma-q", "0.5,0.5000001"], "gaussian_sq0.5_K2.csv"),
+    (["--arms", "2,2", "--sigma-q", "0.5"], "gaussian_sq0.5_K2.csv"),
+], ids=["widths", "sizes"])
+def test_sweep_cells_that_share_a_file_exit_2(tmp_path, capsys, flags, name):
+    """Two cells whose file names agree would overwrite each other: the
+    sweep is refused before anything is written, naming the file."""
+    out = tmp_path / "cells"
+    argv = ["sweep", "--env", "gaussian", *flags, "--tasks", "2", "--rounds", "3",
+            "--runs", "2", "--agents", "ts", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mixture_run_end_to_end(tmp_path, capsys):
     out = tmp_path / "mix.csv"
     rc = cli.main(

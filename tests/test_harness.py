@@ -184,7 +184,11 @@ def _replay_run(config, kind, run):
     """One run played task by task by a one-run agent from the run's own
     streams, as criterion 7's fixture does: (instant regret, final meta)."""
     spec = config.spec
-    tasks_rng, rewards_rng, agent_rng = harness._streams(config, kind.label, run)
+    # common tasks: the task stream drops the agent label
+    tasks_label = "" if config.common_tasks else kind.label
+    tasks_rng = harness.stream(config.seed, "tasks", tasks_label, run)
+    rewards_rng = harness.stream(config.seed, "rewards", kind.label, run)
+    agent_rng = harness.stream(config.seed, "agent", kind.label, run)
     if spec.family == hierarchy.LINEAR and spec.actions is None:
         spec = spec.with_actions(hierarchy.sample_actions(spec, tasks_rng))
     mu_star = hierarchy.sample_meta_parameter(spec, tasks_rng)
