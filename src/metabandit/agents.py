@@ -472,23 +472,38 @@ def _log_weights(weights):
         return np.log(weights)
 
 
+def _log_rising(x, count):
+    """log x(x+1)...(x+count-1) elementwise, for integer-valued counts >= 0:
+    one log per factor, summed per element by bincount."""
+    x, count = np.broadcast_arrays(x, count)
+    count = count.astype(int).ravel()
+    at = np.repeat(np.arange(count.size), count)
+    steps = np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
+    return np.bincount(at, np.log(x.ravel()[at] + steps), count.size).reshape(x.shape)
+
+
+def beta_log_evidence(alphas, betas, successes, failures):
+    """log B(alpha + s, beta + f) - log B(alpha, beta) elementwise: the log
+    probability of a sequence of `successes` ones and `failures` zeros under
+    Beta(alphas, betas), the product that MixtureTaskState.update builds one
+    outcome at a time.  It is summed as logs of rising factorials, because a
+    difference of log-gamma values cancels at large alpha + beta: at 1e15
+    it loses every digit of the evidence."""
+    return (_log_rising(alphas, successes) + _log_rising(betas, failures)
+            - _log_rising(alphas + betas, successes + failures))
+
+
 def mixture_update(meta, summary):
     """Reweight components by the marginal likelihood of one task's data.
 
     ``summary`` is the task's ArmSummary of Bernoulli outcomes: per arm (and
-    per run) ``sums`` successes in ``counts`` pulls.  Each component's
-    marginal is a product of Beta-function ratios over arms, accumulated in
-    log space.  The result keeps the meta-posterior's Beta tables, the
-    prior's.
+    per run) ``sums`` successes in ``counts`` pulls.  Each component's log
+    marginal is its beta_log_evidence summed over arms.  The result keeps
+    the meta-posterior's Beta tables, the prior's.
     """
-    from scipy.special import betaln  # only this update needs scipy
-
     ones = summary.sums[..., None, :]
     zeros = (summary.counts - summary.sums)[..., None, :]
-    log_marginals = np.sum(
-        betaln(meta.alphas + ones, meta.betas + zeros) - betaln(meta.alphas, meta.betas),
-        axis=-1,
-    )
+    log_marginals = np.sum(beta_log_evidence(meta.alphas, meta.betas, ones, zeros), axis=-1)
     return MixtureTaskState(
         _normalize_log_weights(meta.log_weights + log_marginals), meta.alphas, meta.betas
     )

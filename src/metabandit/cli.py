@@ -68,13 +68,15 @@ def _agent_name(text):
 
 def _parse_mixture(text):
     """Beta components 'alpha:beta;alpha:beta' as (alphas, betas); raises
-    ValueError unless every parameter is finite and positive."""
+    ValueError unless every alpha and beta is positive and each alpha + beta,
+    which the Beta updates form, is finite."""
     alphas, betas = [], []
     for chunk in filter(str.strip, text.split(";")):
         alpha, beta = (float(v) for v in chunk.split(":"))
         alphas.append(alpha)
         betas.append(beta)
-    if not (alphas and all(math.isfinite(v) and v > 0 for v in alphas + betas)):
+    if not (alphas and all(a > 0 and b > 0 and math.isfinite(a + b)
+                           for a, b in zip(alphas, betas))):
         raise ValueError(f"bad mixture {text!r}")
     return alphas, betas
 
@@ -90,7 +92,7 @@ _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite numb
 _level = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 _weights = _checked(_comma_list(_nonnegative), lambda w: sum(w) > 0, "weights not all zero")
 _mixture = _checked(str.strip, _parse_mixture,
-                    "alpha:beta;alpha:beta with finite alpha, beta > 0")
+                    "alpha:beta;alpha:beta with alpha, beta > 0 and finite alpha + beta")
 
 
 def _build_parser():
@@ -372,9 +374,12 @@ def _cmd_bound(inv):
     total, terms = total_bound(
         bounds.inputs_from_env(build_spec(inv), inv.tasks, inv.rounds, inv.delta, eta=eta)
     )
-    for name, value in terms.items():
-        print(f"term_{name}={_cell(value)}")
-    print(f"total={_cell(total)}")
+    lines = {**{f"term_{name}": value for name, value in terms.items()}, "total": total}
+    for key, value in lines.items():
+        if not math.isfinite(value):
+            raise RuntimeError(f"bound {key} is {value}; nothing printed")
+    for key, value in lines.items():
+        print(f"{key}={_cell(value)}")
     return 0
 
 

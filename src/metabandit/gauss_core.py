@@ -66,21 +66,16 @@ def cholesky(a):
 
 
 def solve_spd(a, b):
-    """Solve a @ x = b for SPD `a` via Cholesky.  A reference for the tests:
-    the package solves with its own factors, so scipy is loaded only here."""
-    import scipy.linalg
-
+    """Solve a @ x = b for SPD `a` via Cholesky: two solves against the
+    factor.  A reference for the tests; the package solves with its own
+    factors."""
     lower = cholesky(a)
-    return scipy.linalg.cho_solve((lower, True), np.asarray(b, dtype=float))
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, np.asarray(b, dtype=float)))
 
 
 def spd_inverse(a):
     """Inverse of an SPD matrix, re-symmetrized; a reference like solve_spd."""
-    import scipy.linalg
-
-    lower = cholesky(a)
-    inv = scipy.linalg.cho_solve((lower, True), np.eye(lower.shape[0]))
-    return symmetrize(inv)
+    return symmetrize(solve_spd(a, np.eye(np.shape(a)[-1])))
 
 
 def mvn_sample(mean, cov, rng):

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import betaln
 
 from metabandit import agents, hierarchy
 from metabandit.gauss_core import RngStream, RunStreams, cholesky, spd_inverse, solve_spd
@@ -757,9 +758,11 @@ def test_forced_agent_follows_plan_then_samples():
 # ---------------------------------------------------------------------------
 
 
-def mixture_spec(num_arms=1):
-    alphas = [[9.0] * num_arms, [1.0] * num_arms]
-    betas = [[1.0] * num_arms, [9.0] * num_arms]
+def mixture_spec(num_arms=1, scale=1.0):
+    """Two components, 0.9 and 0.1 on every arm, at Beta concentration
+    10 * scale."""
+    alphas = [[9.0 * scale] * num_arms, [scale] * num_arms]
+    betas = [[scale] * num_arms, [9.0 * scale] * num_arms]
     return hierarchy.mixture_env(num_arms, alphas=alphas, betas=betas)
 
 
@@ -801,16 +804,29 @@ def test_mixture_update_symmetric_components_stay_even():
     assert np.allclose(out.weights, [0.5, 0.5], atol=1e-12)
 
 
+def test_beta_log_evidence_matches_scipy_betaln():
+    """Each arm's evidence is scipy's difference of log Beta functions, at
+    ordinary concentrations and counts."""
+    rng = np.random.default_rng(3)
+    alphas, betas = rng.uniform(0.5, 300.0, (2, 20_000))
+    ones, zeros = rng.integers(0, 201, (2, 20_000))
+    expected = betaln(alphas + ones, betas + zeros) - betaln(alphas, betas)
+    got = agents.beta_log_evidence(alphas, betas, ones, zeros)
+    np.testing.assert_allclose(got, expected, rtol=1e-11)
+
+
 def test_within_task_weights_match_end_of_task_marginals():
-    """Sequential predictive reweighting and the one-shot marginal agree."""
-    spec = mixture_spec(num_arms=2)
-    meta = agents.initial_meta_posterior(spec)
+    """Sequential predictive reweighting and the one-shot marginal agree, at
+    every Beta concentration: differencing log-gamma values would lose
+    digits of the evidence from about 1e8 and all of them by 1e15."""
     history = [(0, 1), (1, 0), (0, 1), (0, 0), (1, 1)]
-    state = agents.MixtureTaskState(meta.log_weights, meta.alphas, meta.betas)
-    for arm, outcome in history:
-        state.update(arm, outcome, None)
-    end = agents.mixture_update(meta, outcomes(history, 2))
-    assert np.allclose(np.exp(state.log_weights), end.weights, atol=1e-12)
+    for scale in (1.0, 1e8, 1e12, 1e15, 1e16):
+        meta = agents.initial_meta_posterior(mixture_spec(num_arms=2, scale=scale))
+        state = agents.MixtureTaskState(meta.log_weights, meta.alphas, meta.betas)
+        for arm, outcome in history:
+            state.update(arm, outcome, None)
+        end = agents.mixture_update(meta, outcomes(history, 2))
+        assert np.allclose(state.log_weights, end.log_weights, rtol=0, atol=1e-12), scale
 
 
 def test_within_task_beta_posteriors_accumulate_counts():

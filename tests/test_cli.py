@@ -1,6 +1,7 @@
 """Command-line front end: parsing, config files, CSV output, subcommands."""
 
 import hashlib
+import json
 from pathlib import Path
 import re
 import shlex
@@ -273,20 +274,54 @@ def test_zero_mixture_weight_runs_without_runtime_warning(tmp_path, capsys):
     assert out.exists()
 
 
-def test_parse_and_build_config_load_no_scipy():
-    """scipy is imported only where it is called (the mixture meta-update and
-    the reference SPD helpers), so a Gaussian run starts without it."""
+@pytest.mark.parametrize("mixture,code", [("9e307:9e307;1:1", 2), ("8e307:8e307;1:1", 0)])
+def test_mixture_whose_alpha_plus_beta_overflows_exits_2(tmp_path, capsys, mixture, code):
+    """The Beta updates form alpha + beta, so it must be finite too."""
+    out = tmp_path / "mix.csv"
+    argv = ["run", "--env", "bernoulli-mixture", "--arms", "3", "--mixture", mixture,
+            "--tasks", "3", "--rounds", "20", "--runs", "4",
+            "--agents", "ts,oracle-ts,meta-ts,ada-ts", "--out", str(out)]
+    assert cli.main(argv) == code
+    if code:
+        assert "--mixture" in capsys.readouterr().err.partition("error:")[2]
+    assert out.exists() == (code == 0)
+
+
+# Every agent each family accepts.
+GAUSSIAN_AGENTS = "ts,oracle-ts,meta-ts,ada-ts,ada-ts+,ada-ts-,ada-ts-forced"
+FAMILY_AGENTS = {"gaussian": GAUSSIAN_AGENTS, "linear": GAUSSIAN_AGENTS,
+                 "semibandit": GAUSSIAN_AGENTS,
+                 "bernoulli-mixture": "ts,oracle-ts,meta-ts,ada-ts,misassigned-ts"}
+
+
+def test_parse_and_build_config_load_no_scipy(tmp_path):
+    """The package does not import scipy: parse and build_config load none
+    of it, and with its import blocked every command still exits 0 (a run of
+    each family with every agent it accepts, a sweep, and both bounds)."""
+    commands = [
+        ["run", "--env", env, *REQUIRED_FAMILY_FLAGS[env], "--tasks", "3", "--rounds", "4",
+         "--runs", "2", "--agents", names, "--out", str(tmp_path / f"{env}.csv")]
+        for env, names in FAMILY_AGENTS.items()
+    ]
+    commands.append(["sweep", "--env", "bernoulli-mixture", "--arms", "2,3",
+                     "--mixture", "9:1;1:9", "--tasks", "2", "--rounds", "3", "--runs", "2",
+                     "--agents", "ts,ada-ts", "--out", str(tmp_path / "cells")])
+    commands += [minimal_argv("bound", tmp_path, env) for env in FAMILIES["bound"]]
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from metabandit import cli\n"
-        "cli.build_config(cli.parse(sys.argv[2:]))\n"
+        "cli.build_config(cli.parse(json.loads(sys.argv[2])))\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "sys.modules['scipy'] = None\n"
+        "print([cli.main(argv) for argv in json.loads(sys.argv[3])])\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code, src, *run_argv()],
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", code, src, json.dumps(run_argv()),
+                           json.dumps(commands)], capture_output=True, text=True, check=True)
+    lines = done.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == str([0] * len(commands)), done.stderr
 
 
 def test_linear_dim_implies_five_d_arms():
@@ -663,6 +698,21 @@ def test_bound_seed_picks_the_action_set_eta_is_derived_from(capsys):
         assert cli.main(BOUND_ARGV + seed) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] != outputs[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--env", "semibandit", "--arms", "4", "--budget", "2", "--sigma-q", "0.5",
+     "--tasks", "3", "--rounds", "5", "--delta", "1e-320"],
+    ["bound", "--env", "linear", "--dim", "2", "--sigma-q", "0.5",
+     "--tasks", "3", "--rounds", "5", "--delta", "1e-310", "--eta", "0.1"],
+], ids=["semibandit", "linear"])
+def test_bound_with_a_non_finite_term_exits_1_and_prints_nothing(capsys, argv):
+    """A tiny --delta overflows 4K/delta: the bound is refused, naming the
+    term, rather than printed as inf."""
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert "term_learning_mu_star is inf" in captured.err
+    assert captured.out == ""
 
 
 def test_bound_subcommand_rejects_gaussian(capsys):
