@@ -140,41 +140,41 @@ class RunStreams:
     """One RngStream per row, drawn from in lockstep.
 
     `standard_normal(size)` and `random(size)` return one draw of shape
-    `size` per row, stacked as lead + size.  The leading shape `lead` of
-    state played from it is (rows,), or (tasks, rows) with a task axis.  A
-    row is one run of one agent; a batch of agents that play together has
-    one row per (agent, run).  The draws come from blocks of `block` draws
-    per row, or of `tasks` * `block` with a task axis, that each stream makes
-    in one call.  A block draw consumes a stream exactly as the same draws
-    made one by one, so every row sees the numbers it would see alone,
-    however the block boundaries fall, as long as all draws from one stream
-    have one kind and shape.  With a task axis, the draw of (task s, row,
-    i-th call) is the stream's draw number (s - 1) * block + i: the tasks of
-    a run that draws `block` times per task and nothing in between, played
-    at once.  A request of another kind or shape while a block still holds
+    `size` per row, stacked as lead + size in a C-contiguous float64 array of
+    its own.  The leading shape `lead` of state played from it is (rows,),
+    or (tasks, rows) with a task axis.  A row is one run of one agent; a
+    batch of agents that play together has one row per (agent, run).
+
+    The draws come from blocks.  A refill has each stream make `block` draws
+    (`tasks` * `block` with a task axis) in one call, written in place into
+    its row of one (rows, *tasks, block, *size) array.  A block draw
+    consumes a stream exactly as the same draws made one by one, so every
+    row sees the numbers it would see alone, however the block boundaries
+    fall, as long as all draws from one stream have one kind and shape.
+    `block` is then only the number of draws per refill, free of the task
+    length, except with a task axis: there the draw of (task s, row, i-th
+    call) is the stream's draw number (s - 1) * block + i, the tasks of a
+    run that draws `block` times per task and nothing in between, played at
+    once.  A request of another kind or shape while a block still holds
     draws would reorder the streams and raises ValueError.  Draws whose
-    consumption varies (Beta variates) cannot be blocked: take them from each
-    of `streams` in turn.
+    consumption varies (Beta variates) cannot be blocked: take them from
+    each of `streams` in turn.
     """
 
     def __init__(self, streams, block, tasks=None):
         self.streams = tuple(streams)
         self.lead = (() if tasks is None else (int(tasks),)) + (len(self.streams),)
         self.block = int(block)
-        self._drawn = ()
+        self._drawn = None
         self._pending = None  # (method, size) the pending block was drawn for
-        self._next = 0
+        self._next = self.block
 
     def _draw(self, method, size):
-        if self._next == len(self._drawn):
+        if self._next == self.block:
             shape = () if size is None else tuple(np.atleast_1d(size))
-            tasks = self.lead[:-1]
-            # filled row by row: stacking whole blocks would hold them twice
-            self._drawn = np.empty((self.block, *self.lead, *shape))
-            by_row = np.moveaxis(self._drawn, len(self.lead), 0)
-            for row, stream in zip(by_row, self.streams):
-                drawn = getattr(stream, method)((*tasks, self.block, *shape))
-                row[...] = np.moveaxis(drawn, len(tasks), 0)
+            self._drawn = np.empty((len(self.streams), *self.lead[:-1], self.block, *shape))
+            for row, stream in zip(self._drawn, self.streams):
+                getattr(stream.gen, method)(out=row)
             self._pending = (method, size)
             self._next = 0
         elif (method, size) != self._pending:
@@ -182,8 +182,11 @@ class RunStreams:
                 f"{method} draw of size {size} while {self._pending[0]} draws "
                 f"of size {self._pending[1]} are pending"
             )
+        i = self._next
         self._next += 1
-        return self._drawn[self._next - 1]
+        if len(self.lead) == 1:
+            return self._drawn[:, i].copy()
+        return self._drawn[:, :, i].swapaxes(0, 1).copy()
 
     def standard_normal(self, size=None):
         return self._draw("standard_normal", size)

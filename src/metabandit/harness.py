@@ -12,9 +12,12 @@ ada-ts-, play as one block of (agent, run) rows, each with its own
 meta-prior width.  Agents that play all tasks at once
 (agents.plays_tasks_at_once: Gaussian ts and oracle-ts) have the leading
 shape (m, rows) and play n lockstep rounds instead of m * n.  Streams whose
-draws have a fixed size are drawn in blocks (gauss_core.RunStreams); a
-Bernoulli-mixture agent's own stream is drawn run by run instead, because
-its Beta draws consume a variable amount of stream.
+draws have a fixed size are drawn in blocks (gauss_core.RunStreams): one
+block of n rounds for all tasks at once, and otherwise a refill every
+max(n, MIN_BLOCK) draws, so that short tasks played one after another share
+a refill.  A Bernoulli-mixture agent's own stream is drawn run by run
+instead, because its Beta draws consume a variable amount of stream.  Next
+to the regret, a RegretTrace keeps every agent's final meta-posterior.
 
 Each run's world (linear action set, meta-parameter, task sequence) is
 sampled from that run's own task stream, its m tasks as one stack, and the
@@ -24,7 +27,7 @@ task-generation stream drops the agent label, so every agent in a run faces
 the same world, sampled once, while still drawing its own reward noise.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 import hashlib
 
 import numpy as np
@@ -32,6 +35,12 @@ import numpy as np
 from . import agents as agents_mod
 from . import hierarchy
 from .gauss_core import RngStream, RunStreams
+
+
+# Fewest draws per row that a stream of tasks played one after another
+# makes in one refill (see gauss_core.RunStreams): short tasks then share a
+# refill instead of making one each.
+MIN_BLOCK = 256
 
 
 class EmptyTrace(Exception):
@@ -64,11 +73,16 @@ class ExperimentConfig:
 
 @dataclass
 class RegretTrace:
-    """Per-round instant regret for every (agent, run)."""
+    """Per-round instant regret for every (agent, run), and every agent's
+    meta-posterior after its last task."""
 
     config: ExperimentConfig
     instant: dict            # label -> array (runs, m, n)
     task_hashes: dict        # (label, run) -> hex digest of the task sequence
+    # label -> the agent's meta-posterior after its last task, a belief
+    # (agents.DiagonalTaskPosterior, FullTaskPosterior or MixtureTaskState)
+    # with the leading shape (runs,)
+    final_meta: dict = field(default_factory=dict)
 
     def cumulative(self, label):
         """Cumulative regret over the flattened (task, round) axis."""
@@ -158,10 +172,17 @@ def _join_worlds(worlds):
     return _World(spec, mu_star, tasks, sum((world.digests for world in worlds), ()))
 
 
+def _rows(belief, index):
+    """A belief's rows at `index` of its first axis; every belief class
+    takes its slots, in order, as its constructor's arguments."""
+    return type(belief)(*(getattr(belief, name)[index] for name in belief.__slots__))
+
+
 def _run_agent(config, kinds, runs, world):
     """Instant regret (len(kinds) * len(runs), m, n) of agent kinds that
     share a base, one row per (kind, run) in that order, given the world of
-    those rows; one agent plays all rows in lockstep, each row with its
+    those rows, and the agent's final meta-posterior with the leading shape
+    (rows,); one agent plays all rows in lockstep, each row with its
     kind's meta-prior width.  An agent that plays all tasks at once
     (agents.plays_tasks_at_once) plays the whole (m, rows) stack of tasks in
     n rounds; any other plays task s as the view `world.tasks[s - 1]`.
@@ -176,7 +197,9 @@ def _run_agent(config, kinds, runs, world):
 
     def lockstep(purpose):
         streams = [_stream(config, purpose, k.label, run) for k in kinds for run in runs]
-        return RunStreams(streams, block=config.n, tasks=config.m if at_once else None)
+        if at_once:
+            return RunStreams(streams, block=config.n, tasks=config.m)
+        return RunStreams(streams, block=max(config.n, MIN_BLOCK))
 
     instant = np.zeros((len(kinds) * len(runs), config.m, config.n))
     if at_once:
@@ -209,7 +232,9 @@ def _run_agent(config, kinds, runs, world):
         raise RuntimeError(
             f"run failed at agent={labels} run={where} task={s} round={t}: {err}"
         ) from err
-    return instant
+    # an agent that plays all tasks at once never updates its meta-posterior,
+    # so every task holds the same one
+    return instant, (_rows(agent.meta, 0) if at_once else agent.meta)
 
 
 def run_single(config, kind, run):
@@ -219,7 +244,8 @@ def run_single(config, kind, run):
     kind, run): agent order and the other runs play no role.
     """
     world = _sample_world(config, kind.label, [run])
-    return _run_agent(config, (kind,), [run], world)[0], world.digests[0]
+    instant, _ = _run_agent(config, (kind,), [run], world)
+    return instant[0], world.digests[0]
 
 
 def _blocks(config):
@@ -237,17 +263,20 @@ def run_experiment(config):
     runs is sampled once and shared by all agents."""
     runs = list(range(config.runs))
     shared = _sample_world(config, "", runs) if config.common_tasks else None
-    rows, hashes = {}, {}
+    rows, hashes, final_meta = {}, {}, {}
     for kinds in _blocks(config):
         world = _join_worlds([shared or _sample_world(config, kind.label, runs)
                               for kind in kinds])
-        instant = _run_agent(config, kinds, runs, world)
+        instant, meta = _run_agent(config, kinds, runs, world)
         for i, kind in enumerate(kinds):
-            rows[kind.label] = instant[i * len(runs):(i + 1) * len(runs)]
+            own = slice(i * len(runs), (i + 1) * len(runs))
+            rows[kind.label] = instant[own]
+            final_meta[kind.label] = _rows(meta, own)
         keys = [(kind.label, run) for kind in kinds for run in runs]
         hashes.update(zip(keys, world.digests))
     instant = {kind.label: rows[kind.label] for kind in config.agents}
-    return RegretTrace(config, instant, hashes)
+    final_meta = {kind.label: final_meta[kind.label] for kind in config.agents}
+    return RegretTrace(config, instant, hashes, final_meta)
 
 
 def aggregate(trace):

@@ -78,29 +78,20 @@ def mixture_panel():
         betas=[[1.0, 1.0, 1.0], [9.0, 9.0, 9.0]],
     )
     m, n, runs = 10, 50, 200
-    curve, _ = experiment(spec, ("ada-ts", "misassigned-ts"), m=m, n=n, runs=runs)
-    # replay the adaptive agent's runs to read its final component weights
-    kind = agents.AgentKind.from_name("ada-ts")
+    kinds = tuple(agents.AgentKind.from_name(name) for name in ("ada-ts", "misassigned-ts"))
     config = harness.ExperimentConfig(
-        spec=spec, agents=(kind,), m=m, n=n, runs=runs, seed=SEED
+        spec=spec, agents=kinds, m=m, n=n, runs=runs, seed=SEED
     )
+    trace = harness.run_experiment(config)
+    curve = harness.aggregate(trace)
+    # the adaptive agent's final component weights, at each run's true
+    # component; common tasks: the task stream drops the agent label
+    weights = trace.final_meta["ada-ts"].weights
     true_weights = []
     for run in range(runs):
-        # common tasks: the task stream drops the agent label
         tasks_rng = harness.stream(SEED, "tasks", "", run)
-        rewards_rng = harness.stream(SEED, "rewards", kind.label, run)
-        agent_rng = harness.stream(SEED, "agent", kind.label, run)
         component = hierarchy.sample_meta_parameter(spec, tasks_rng)
-        tasks = [hierarchy.sample_task(spec, component, tasks_rng) for _ in range(m)]
-        agent = agents.MixtureFamilyAgent(kind, spec, agent_rng, component)
-        for s, task in enumerate(tasks, start=1):
-            agent.begin_task(s, m)
-            for t in range(1, n + 1):
-                action = agent.act(t)
-                reward = hierarchy.realize_reward(spec, task, action, rewards_rng)
-                agent.observe(action, reward)
-            agent.end_task()
-        true_weights.append(agent.meta.weights[int(component)])
+        true_weights.append(weights[run, int(component)])
     return curve, float(np.mean(true_weights))
 
 

@@ -272,6 +272,25 @@ def test_task_axis_run_streams_give_each_task_its_draws(method, size):
             assert all_tasks[t, task].tobytes() == task_by_task[task * n + t].tobytes()
 
 
+@pytest.mark.parametrize("tasks", [None, 3])
+@pytest.mark.parametrize("method", ["standard_normal", "random"])
+@pytest.mark.parametrize("size", [None, 2, (2, 3)])
+def test_run_stream_draws_are_c_contiguous_arrays_of_their_own(tasks, method, size):
+    """Every draw is a C-contiguous float64 array that owns its data, in
+    lead + size order: writing into one leaves the later draws unchanged."""
+    def streams():
+        return gc.RunStreams([gc.RngStream(7, i) for i in (4, 9)], block=3, tasks=tasks)
+
+    written, clean = streams(), streams()
+    shape = written.lead + (() if size is None else tuple(np.atleast_1d(size)))
+    for _ in range(7):  # crosses blocks
+        draw = getattr(written, method)(size)
+        assert draw.shape == shape and draw.dtype == np.float64
+        assert draw.flags.c_contiguous and draw.flags.owndata
+        assert draw.tobytes() == getattr(clean, method)(size).tobytes()
+        draw[...] = np.nan
+
+
 def test_beta_row_draws_the_bits_of_one_array_call():
     """Scalar Beta draws consume a stream as one array-argument call does,
     in both of numpy's Beta algorithms (a, b <= 1, and otherwise)."""

@@ -243,6 +243,78 @@ def test_lockstep_mixture_agents_replay_as_one_run_agents(monkeypatch, common_ta
             if kind.label == "ada-ts":
                 whole = lockstep["ada-ts"].meta.weights[run]
                 assert whole.tobytes() == meta.weights.tobytes()
+                kept = trace.final_meta["ada-ts"].weights[run]
+                assert kept.tobytes() == meta.weights.tobytes()
+
+
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+def test_final_meta_is_each_runs_meta_after_its_last_task(family):
+    """Every agent's final meta-posterior, kept with the leading shape
+    (runs,), is row by row the one a one-run agent ends with; for the
+    agents that play all tasks at once it is the meta-prior."""
+    names = MIXTURE_KINDS if family == "mixture" else GAUSSIAN_KINDS
+    config = small_config(agent_names=names, spec=FAMILY_SPECS[family](), runs=3, m=4,
+                          n=6, seed=17, common_tasks=False)
+    trace = harness.run_experiment(config)
+    assert list(trace.final_meta) == list(names)
+    for kind in config.agents:
+        kept = trace.final_meta[kind.label]
+        for run in range(config.runs):
+            _, meta = _replay_run(config, kind, run)
+            assert type(kept) is type(meta)
+            for name in meta.__slots__:
+                assert getattr(kept, name).shape[0] == config.runs
+                assert getattr(kept, name)[run].tobytes() == getattr(meta, name).tobytes()
+
+
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+def test_traces_do_not_depend_on_the_refill_size(monkeypatch, family):
+    """Streams refilled at every task, once per run, or every MIN_BLOCK
+    draws give every row the same draws: the same traces, task hashes and
+    final meta-posteriors."""
+    names = MIXTURE_KINDS if family == "mixture" else GAUSSIAN_KINDS
+    config = small_config(agent_names=names, spec=FAMILY_SPECS[family](), runs=3, m=5, n=7)
+    traces = []
+    for floor in (1, config.m * config.n + 3, harness.MIN_BLOCK):
+        monkeypatch.setattr(harness, "MIN_BLOCK", floor)
+        traces.append(harness.run_experiment(config))
+    first = traces[0]
+    for trace in traces[1:]:
+        assert trace.task_hashes == first.task_hashes
+        for label in names:
+            assert trace.instant[label].tobytes() == first.instant[label].tobytes()
+            for name in first.final_meta[label].__slots__:
+                kept = getattr(trace.final_meta[label], name)
+                assert kept.tobytes() == getattr(first.final_meta[label], name).tobytes()
+
+
+@pytest.mark.parametrize("family", ["gaussian", "mixture"])
+@pytest.mark.parametrize("n", [7, 300])
+def test_only_streams_with_a_task_axis_refill_per_task(monkeypatch, family, n):
+    """Agents that play all tasks at once draw one task's rounds per block,
+    for every task at once; any other agent's streams refill every
+    max(n, 256) draws or more."""
+    built = []
+
+    class Recorded(harness.RunStreams):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(harness, "RunStreams", Recorded)
+    names = ("ts", "oracle-ts", "meta-ts", "ada-ts") + (() if family == "mixture" else ("ada-ts+",))
+    config = small_config(agent_names=names, spec=FAMILY_SPECS[family](), runs=3, m=2, n=n)
+    harness.run_experiment(config)
+    at_once = sum(agents.plays_tasks_at_once(kind, config.spec.family) for kind in config.agents)
+    assert at_once == (2 if family == "gaussian" else 0)
+    # an agent and a reward stream for each of the four blocks of agents
+    assert len(built) == 8
+    assert sum(len(streams.lead) == 2 for streams in built) == 2 * at_once
+    for streams in built:
+        if len(streams.lead) == 2:
+            assert (streams.block, streams.lead) == (n, (config.m, config.runs))
+        else:
+            assert streams.block >= max(n, 256)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "semibandit", "linear"])
