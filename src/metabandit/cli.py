@@ -250,11 +250,22 @@ def _validate(parser, inv):
         for flag, widths in per_coordinate.items():
             if len(widths) > 1 and cells != {len(widths)}:
                 parser.error(f"{flag} must be scalar or one width per coordinate")
-    for name in getattr(inv, "agents", ()):
+    labels = getattr(inv, "agents", ())
+    for name in labels:
+        if labels.count(name) > 1:
+            parser.error(f"--agents lists {name} more than once")
         try:
             agents_mod.require_family(agents_mod.AgentKind.from_name(name), inv.env)
         except agents_mod.UnknownAgent as err:
             parser.error(f"--agents: {err}")
+    # refuse an --out that cannot be written before any run is made
+    if inv.command == "run" and os.path.isdir(inv.out):
+        parser.error(f"--out {inv.out!r} is a directory; run writes one CSV file")
+    if inv.command == "run" and not os.path.isdir(os.path.dirname(inv.out) or os.curdir):
+        parser.error(f"--out {inv.out!r} is in a directory that does not exist")
+    if inv.command == "sweep" and os.path.exists(inv.out) and not os.path.isdir(inv.out):
+        parser.error(f"--out {inv.out!r} exists and is not a directory; "
+                     f"sweep writes one CSV per cell into a directory")
     if inv.command == "sweep":
         names = [name for name, _ in _sweep_cells(inv)]
         for name in names:

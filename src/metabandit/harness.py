@@ -19,15 +19,17 @@ a refill.  A Bernoulli-mixture agent's own stream is drawn run by run
 instead, because its Beta draws consume a variable amount of stream.  Next
 to the regret, a RegretTrace keeps every agent's final meta-posterior.
 
-Each run's world (linear action set, meta-parameter, task sequence) is
-sampled from that run's own task stream, its m tasks as one stack, and the
-worlds of all runs are stacked once along the run axis, which for the tasks
-is the last: one (m, runs) stack.  When ``common_tasks`` is set, the
-task-generation stream drops the agent label, so every agent in a run faces
-the same world, sampled once, while still drawing its own reward noise.
+Each (agent, run) row faces its run's world (linear action set,
+meta-parameter, task sequence), sampled from the run's own task stream,
+its m tasks as one stack.  A block's world comes from its list of rows:
+each task stream's world is sampled once per experiment, and the rows'
+worlds are stacked along the row axis, which for the tasks is the last:
+one (m, rows) stack.  When ``common_tasks`` is set, the task stream drops
+the agent label, so every agent in a run faces the same world, sampled
+once, while still drawing its own reward noise.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 import hashlib
 
 import numpy as np
@@ -109,12 +111,6 @@ def stream(seed, purpose, label, run):
     return RngStream(seed, int.from_bytes(digest[:8], "big"))
 
 
-def _stream(config, purpose, label, run):
-    if purpose == "tasks" and config.common_tasks:
-        label = ""
-    return stream(config.seed, purpose, label, run)
-
-
 def _task_digest(run_spec, mu_star, tasks):
     h = hashlib.sha256()
     if run_spec.family == hierarchy.LINEAR:
@@ -127,49 +123,36 @@ def _task_digest(run_spec, mu_star, tasks):
     return h.hexdigest()
 
 
-@dataclass(frozen=True, eq=False)
-class _World:
-    """What an agent faces in each of its rows: the environment spec (for
-    linear, each row's own action set as (rows, K, d) when they are sampled
-    per run), mu_star per row, the tasks as one (m, rows) stack, and one
-    task-sequence digest per row."""
-
-    spec: hierarchy.EnvironmentSpec
-    mu_star: np.ndarray
-    tasks: hierarchy.TaskInstance
-    digests: tuple
+def _task_key(config, kind, run):
+    """The (label, run) of a row's task stream: with common tasks every
+    agent in a run shares the label ""."""
+    return ("" if config.common_tasks else kind.label, run)
 
 
-def _sample_world(config, label, runs):
-    """Each of `runs` sampled from its own task stream, as it would be alone,
-    then stacked once."""
-    spec, worlds = config.spec, []
-    sampled = spec.family == hierarchy.LINEAR and spec.actions is None
-    for run in runs:
-        rng = _stream(config, "tasks", label, run)
-        run_spec = spec.with_actions(hierarchy.sample_actions(spec, rng)) if sampled else spec
-        mu_star = hierarchy.sample_meta_parameter(run_spec, rng)
-        tasks = hierarchy.sample_task(run_spec, mu_star, rng, (config.m,))
-        worlds.append((run_spec.actions, mu_star, tasks, _task_digest(run_spec, mu_star, tasks)))
-    actions, mu_stars, tasks, digests = zip(*worlds)
-    if sampled:
+def _sample_world(config, rows, sampled):
+    """The world of (kind, run) rows: the environment spec (for linear, each
+    row's own action set as (rows, K, d) when they are sampled per run),
+    mu_star per row, and the tasks as one (m, rows) stack.  Each task
+    stream's world is sampled once, as it would be alone, and kept in
+    `sampled`, which maps the stream's key to (actions, mu_star, tasks,
+    digest)."""
+    spec = config.spec
+    per_run = spec.family == hierarchy.LINEAR and spec.actions is None
+    worlds = []
+    for kind, run in rows:
+        key = _task_key(config, kind, run)
+        if key not in sampled:
+            rng = stream(config.seed, "tasks", *key)
+            run_spec = spec.with_actions(hierarchy.sample_actions(spec, rng)) if per_run else spec
+            mu_star = hierarchy.sample_meta_parameter(run_spec, rng)
+            tasks = hierarchy.sample_task(run_spec, mu_star, rng, (config.m,))
+            digest = _task_digest(run_spec, mu_star, tasks)
+            sampled[key] = (run_spec.actions, mu_star, tasks, digest)
+        worlds.append(sampled[key])
+    actions, mu_stars, tasks, _ = zip(*worlds)
+    if per_run:
         spec = spec.with_actions(np.stack(actions))
-    return _World(spec, np.stack(mu_stars), hierarchy.stack_tasks(tasks), digests)
-
-
-def _join_worlds(worlds):
-    """Worlds of the same runs for several agents, one after another along
-    the row axis: the world of a block of (agent, run) rows."""
-    if len(worlds) == 1:
-        return worlds[0]
-    spec = worlds[0].spec
-    if spec.family == hierarchy.LINEAR and spec.actions.ndim == 3:
-        spec = spec.with_actions(np.concatenate([world.spec.actions for world in worlds]))
-    tasks = hierarchy.TaskInstance(*(
-        np.concatenate([getattr(world.tasks, field.name) for world in worlds], axis=1)
-        for field in fields(hierarchy.TaskInstance)))
-    mu_star = np.concatenate([world.mu_star for world in worlds])
-    return _World(spec, mu_star, tasks, sum((world.digests for world in worlds), ()))
+    return spec, np.stack(mu_stars), hierarchy.stack_tasks(tasks)
 
 
 def _rows(belief, index):
@@ -178,44 +161,45 @@ def _rows(belief, index):
     return type(belief)(*(getattr(belief, name)[index] for name in belief.__slots__))
 
 
-def _run_agent(config, kinds, runs, world):
-    """Instant regret (len(kinds) * len(runs), m, n) of agent kinds that
-    share a base, one row per (kind, run) in that order, given the world of
-    those rows, and the agent's final meta-posterior with the leading shape
-    (rows,); one agent plays all rows in lockstep, each row with its
-    kind's meta-prior width.  An agent that plays all tasks at once
+def _run_agent(config, rows, sampled):
+    """Instant regret (len(rows), m, n) of (kind, run) rows whose kinds share
+    a base, one row per (kind, run) in that order, and the agent's final
+    meta-posterior with the leading shape (rows,); one agent plays all rows
+    in lockstep, each row with its kind's meta-prior width, in the world of
+    those rows (see _sample_world).  An agent that plays all tasks at once
     (agents.plays_tasks_at_once) plays the whole (m, rows) stack of tasks in
-    n rounds; any other plays task s as the view `world.tasks[s - 1]`.
+    n rounds; any other plays task s as the view `tasks[s - 1]`.
 
     A float overflow or invalid operation fails the rows instead of reaching
     their regret.  The error names the agents, the runs, the task (1..m for
     all tasks at once) and the round: a failure in task set-up names round
     0, and one while the agent is built names task 0.
     """
-    spec, kind = world.spec, kinds[0]
+    spec, mu_star, tasks = _sample_world(config, rows, sampled)
+    kind = rows[0][0]
     at_once = agents_mod.plays_tasks_at_once(kind, spec.family)
 
     def lockstep(purpose):
-        streams = [_stream(config, purpose, k.label, run) for k in kinds for run in runs]
+        streams = [stream(config.seed, purpose, k.label, run) for k, run in rows]
         if at_once:
             return RunStreams(streams, block=config.n, tasks=config.m)
         return RunStreams(streams, block=max(config.n, MIN_BLOCK))
 
-    instant = np.zeros((len(kinds) * len(runs), config.m, config.n))
+    instant = np.zeros((len(rows), config.m, config.n))
     if at_once:
-        blocks = [(f"1..{config.m}", world.tasks, instant.swapaxes(0, 1))]
+        blocks = [(f"1..{config.m}", tasks, instant.swapaxes(0, 1))]
     else:
-        blocks = [(s, world.tasks[s - 1], instant[:, s - 1]) for s in range(1, config.m + 1)]
+        blocks = [(s, tasks[s - 1], instant[:, s - 1]) for s in range(1, config.m + 1)]
     if spec.family == hierarchy.BERNOULLI_MIXTURE:
         agent_class = agents_mod.MixtureFamilyAgent
     else:
         agent_class = agents_mod.GaussianFamilyAgent
-    scale = np.repeat([k.scale for k in kinds], len(runs))
+    scale = np.array([k.scale for k, _ in rows])
     rewards = lockstep("rewards")
     s = t = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            agent = agent_class(kind, spec, lockstep("agent"), world.mu_star, scale)
+            agent = agent_class(kind, spec, lockstep("agent"), mu_star, scale)
             # all tasks at once begin as task 1 does
             for first, (s, task, regret) in enumerate(blocks, start=1):
                 t = 0
@@ -227,8 +211,9 @@ def _run_agent(config, kinds, runs, world):
                     agent.observe(action, observation)
                 agent.end_task()
     except Exception as err:
-        labels = ",".join(k.label for k in kinds)
-        where = runs[0] if len(runs) == 1 else f"{runs[0]}..{runs[-1]}"
+        labels = ",".join(dict.fromkeys(k.label for k, _ in rows))
+        runs = [run for _, run in rows]
+        where = runs[0] if len(set(runs)) == 1 else f"{runs[0]}..{runs[-1]}"
         raise RuntimeError(
             f"run failed at agent={labels} run={where} task={s} round={t}: {err}"
         ) from err
@@ -243,9 +228,9 @@ def run_single(config, kind, run):
     Output is a pure function of (config.spec, config.seed, common_tasks,
     kind, run): agent order and the other runs play no role.
     """
-    world = _sample_world(config, kind.label, [run])
-    instant, _ = _run_agent(config, (kind,), [run], world)
-    return instant[0], world.digests[0]
+    sampled = {}
+    instant, _ = _run_agent(config, [(kind, run)], sampled)
+    return instant[0], sampled[_task_key(config, kind, run)][-1]
 
 
 def _blocks(config):
@@ -259,22 +244,20 @@ def _blocks(config):
 
 
 def run_experiment(config):
-    """Run every agent over every run.  With common tasks the world of all
-    runs is sampled once and shared by all agents."""
-    runs = list(range(config.runs))
-    shared = _sample_world(config, "", runs) if config.common_tasks else None
-    rows, hashes, final_meta = {}, {}, {}
+    """Run every agent over every run, each block of agents (see _blocks)
+    over its (kind, run) rows.  Every run's world is sampled once per task
+    stream: with common tasks, once for all agents."""
+    runs = range(config.runs)
+    sampled, instant, hashes, final_meta = {}, {}, {}, {}
     for kinds in _blocks(config):
-        world = _join_worlds([shared or _sample_world(config, kind.label, runs)
-                              for kind in kinds])
-        instant, meta = _run_agent(config, kinds, runs, world)
+        rows = [(kind, run) for kind in kinds for run in runs]
+        block, meta = _run_agent(config, rows, sampled)
         for i, kind in enumerate(kinds):
-            own = slice(i * len(runs), (i + 1) * len(runs))
-            rows[kind.label] = instant[own]
+            own = slice(i * config.runs, (i + 1) * config.runs)
+            instant[kind.label] = block[own]
             final_meta[kind.label] = _rows(meta, own)
-        keys = [(kind.label, run) for kind in kinds for run in runs]
-        hashes.update(zip(keys, world.digests))
-    instant = {kind.label: rows[kind.label] for kind in config.agents}
+        hashes.update(((k.label, run), sampled[_task_key(config, k, run)][-1]) for k, run in rows)
+    instant = {kind.label: instant[kind.label] for kind in config.agents}
     final_meta = {kind.label: final_meta[kind.label] for kind in config.agents}
     return RegretTrace(config, instant, hashes, final_meta)
 

@@ -142,6 +142,41 @@ def test_forced_exploration_without_a_spanning_set_exits_2(tmp_path, capsys, com
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("names,label", [("ada-ts,ada-ts", "ada-ts"), ("ts, ts", "ts")])
+def test_duplicate_agents_exit_2_and_write_nothing(tmp_path, capsys, command, names, label):
+    """An agent listed twice is refused at parse time, naming it, before a
+    sweep makes its output directory."""
+    out = tmp_path / "out"
+    assert cli.main(minimal_argv(command, tmp_path) + ["--agents", names]) == 2
+    err = capsys.readouterr().err.partition("error:")[2]
+    assert "--agents" in err and f" {label} " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,make,out", [
+    ("run", "dir", "out"),                    # run writes a file, not into a directory
+    ("run", None, "missing/out.csv"),         # its directory must exist
+    ("sweep", "file", "out"),                 # sweep writes into a directory
+])
+def test_unwritable_out_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command, make,
+                                               out):
+    """An --out that cannot be written is refused at parse time, before any
+    run is made, and nothing is written."""
+    monkeypatch.setattr(harness, "run_experiment", lambda config: pytest.fail("ran"))
+    path = tmp_path / out
+    if make == "dir":
+        path.mkdir()
+    elif make == "file":
+        path.write_text("kept\n")
+    argv = minimal_argv(command, tmp_path)
+    assert cli.main(argv[:-1] + [str(path)]) == 2
+    assert f"--out {str(path)!r}" in capsys.readouterr().err.partition("error:")[2]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ([] if make is None else ["out"])
+    if make == "file":
+        assert path.read_text() == "kept\n"
+
+
 MIXTURE_FLAGS = {"--env": "bernoulli-mixture", "--arms": "3", "--mixture": "9:1;1:9",
                  "--sigma-q": None, "--sigma-0": None, "--noise": None}
 

@@ -150,11 +150,17 @@ def test_mvn_zero_cov_collapses_to_mean():
     assert np.max(np.abs(draw - mean)) < 1e-3
 
 
+def _one_row_draws(mean, cov, rng, count):
+    """`count` one-row mvn_sample calls, which an (N, d) mean's one call
+    draws as its first rows."""
+    return np.array([gc.mvn_sample(mean, cov, rng) for _ in range(count)])
+
+
 def test_mvn_moments():
-    rng = gc.RngStream(5, 0)
     cov = np.diag([1.0, 4.0])
     n = 100_000
-    draws = np.array([gc.mvn_sample(np.zeros(2), cov, rng) for _ in range(n)])
+    draws = gc.mvn_sample(np.zeros((n, 2)), cov, gc.RngStream(5, 0))
+    assert draws[:5].tobytes() == _one_row_draws(np.zeros(2), cov, gc.RngStream(5, 0), 5).tobytes()
     sample_cov = np.cov(draws.T)
     assert np.all(np.abs(np.diag(sample_cov) - [1.0, 4.0]) <= 0.05 * np.array([1.0, 4.0]))
     # per-coordinate mean within 4 sigma / sqrt(N)
@@ -163,9 +169,9 @@ def test_mvn_moments():
 
 
 def test_mvn_correlated_cov():
-    rng = gc.RngStream(6, 0)
     cov = np.array([[2.0, 0.8], [0.8, 1.0]])
-    draws = np.array([gc.mvn_sample(np.zeros(2), cov, rng) for _ in range(60_000)])
+    draws = gc.mvn_sample(np.zeros((60_000, 2)), cov, gc.RngStream(6, 0))
+    assert draws[:5].tobytes() == _one_row_draws(np.zeros(2), cov, gc.RngStream(6, 0), 5).tobytes()
     assert np.max(np.abs(np.cov(draws.T) - cov)) < 0.05 * np.max(cov)
 
 

@@ -91,7 +91,9 @@ def test_batch_of_runs_equals_each_one_run_slice(family, common_tasks):
 
 
 def test_common_tasks_are_sampled_once_per_run(monkeypatch):
-    """Counts the tasks drawn: each call draws prod(lead) of them."""
+    """Counts the tasks drawn: each call draws prod(lead) of them.  ada-ts,
+    ada-ts+ and ada-ts- play as one block of three kinds, whose rows of one
+    run share their world only with common tasks."""
     calls = {"n": 0}
     real = hierarchy.sample_task
 
@@ -100,13 +102,19 @@ def test_common_tasks_are_sampled_once_per_run(monkeypatch):
         return real(spec, mu_star, rng, lead)
 
     monkeypatch.setattr(hierarchy, "sample_task", counting)
-    names = ("ts", "oracle-ts", "ada-ts")
+    names = ("ts", "oracle-ts", "ada-ts", "ada-ts+", "ada-ts-")
+    widths = ("ada-ts", "ada-ts+", "ada-ts-")
     config = small_config(agent_names=names, runs=3, m=4)
-    harness.run_experiment(config)
+    trace = harness.run_experiment(config)
     assert calls["n"] == config.runs * config.m
+    for run in range(config.runs):
+        assert len({trace.task_hashes[(label, run)] for label in widths}) == 1
     calls["n"] = 0
-    harness.run_experiment(small_config(agent_names=names, runs=3, m=4, common_tasks=False))
+    trace = harness.run_experiment(small_config(agent_names=names, runs=3, m=4,
+                                                common_tasks=False))
     assert calls["n"] == len(names) * config.runs * config.m
+    for run in range(config.runs):
+        assert len({trace.task_hashes[(label, run)] for label in widths}) == len(widths)
 
 
 # ---------------------------------------------------------------------------

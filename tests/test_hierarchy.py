@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metabandit import hierarchy
-from metabandit.gauss_core import RngStream, RunStreams
+from metabandit.gauss_core import RngStream, RunStreams, mvn_sample
 
 
 def stream(seed=0, sid=0):
@@ -94,8 +94,11 @@ def test_point_mass_meta_prior():
 
 def test_meta_prior_variance_matches_width():
     spec = hierarchy.gaussian_env(2, sigma_q=0.5, sigma_0=0.1, noise_sigma=1.0)
+    # one stacked draw of what sample_meta_parameter draws one row at a time
+    draws = mvn_sample(np.broadcast_to(spec.mu_q, (100_000, 2)), spec.sigma_q, stream(1))
     rng = stream(1)
-    draws = np.array([hierarchy.sample_meta_parameter(spec, rng) for _ in range(100_000)])
+    loop = [hierarchy.sample_meta_parameter(spec, rng) for _ in range(5)]
+    assert draws[:5].tobytes() == np.array(loop).tobytes()
     assert np.all(np.abs(draws.var(axis=0) - 0.25) <= 0.05 * 0.25)
 
 
@@ -245,8 +248,12 @@ def test_semibandit_reward_per_arm_in_action_order():
 def test_reward_sample_mean_clt():
     spec = hierarchy.gaussian_env(2, sigma_q=0.5, sigma_0=0.0, noise_sigma=1.0)
     task = hierarchy.sample_task(spec, np.array([1.0, 0.0]), stream())
+    n = 100_000
+    pulls = hierarchy.realize_reward(spec, hierarchy.stack_tasks([task] * n),
+                                     np.zeros(n, dtype=int), stream(5))
     rng = stream(5)
-    pulls = np.array([hierarchy.realize_reward(spec, task, 0, rng) for _ in range(100_000)])
+    loop = [hierarchy.realize_reward(spec, task, 0, rng) for _ in range(5)]
+    assert pulls[:5].tobytes() == np.array(loop).tobytes()
     assert abs(pulls.mean() - 1.0) < 0.013
 
 
