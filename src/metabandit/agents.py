@@ -29,15 +29,20 @@ of the mean beyond rng's leading shape, as gauss_core.mvn_sample does.
 The state of every family (posteriors, meta-posteriors, sufficient
 statistics) has a leading shape `lead`: (rows,) for many rows in lockstep,
 and () for one run, which is the same code on a stack of one run.  A row is
-one run of one agent; agents that differ only in their meta-prior width
-(ada-ts, ada-ts+ and ada-ts-) play as one agent over (agent, run) rows, each
-row with its own width.  Policies that neither learn between tasks nor draw
-at task start (`plays_tasks_at_once`) play all m tasks of a run at once,
-with the leading shape (m, rows); per-row data broadcasts against either
-shape from the right.  Each row still draws from its own stream:
-Gaussian draws come in blocks (gauss_core.RunStreams), while a mixture
-agent's draws are made run by run, because a Beta draw uses a variable
-amount of stream.
+one run of one policy, and rows of different policies play as one agent:
+each row has its own kind, and so its own policy and meta-prior width.  The
+agent builds each row's task prior by its policy's rule on that rule's rows
+(`select_rows`) and joins them row-wise (`join_rows`), and folds only the
+rows that learn, so a row does only the work it would do alone.  Policies
+that neither learn between tasks nor draw at task start
+(`plays_tasks_at_once`) play all m tasks of a run at once, with the leading
+shape (m, rows); per-row data broadcasts against either shape from the
+right.  Each row still draws from its own stream: Gaussian draws come in
+blocks (gauss_core.RunStreams), and a draw that only some rows make (a
+meta-ts row's draw at task start, the rows that sample while ada-ts-forced
+rows play their opening actions) takes those rows of the streams
+(`rng.rows`), while a mixture agent's draws are made run by run, because a
+Beta draw uses a variable amount of stream.
 """
 
 from dataclasses import dataclass
@@ -57,6 +62,10 @@ ADA_TS_FORCED = "ada-ts-forced"
 MISASSIGNED_TS = "misassigned-ts"
 
 _BASE_KINDS = (AGNOSTIC_TS, ORACLE_TS, META_TS, ADA_TS, ADA_TS_FORCED, MISASSIGNED_TS)
+# Policies whose task prior is the meta-posterior integrated into it, and
+# policies that update their meta-posterior between tasks.
+_INTEGRATING = (AGNOSTIC_TS, ADA_TS, ADA_TS_FORCED)
+_LEARNING = (META_TS, ADA_TS, ADA_TS_FORCED)
 
 # Meta-prior width rescalings for the deliberately misspecified variants.
 _ALIASES = {
@@ -320,19 +329,54 @@ class FullTaskPosterior:
 
     def draw(self, rng):
         """`sample`, except that a point mass returns its mean exactly and
-        draws nothing, where a Cholesky factor would add jitter noise.  With
-        a run axis the test covers all runs; they agree, since the
-        meta-update keeps a covariance zero exactly when the meta-prior is
-        zero."""
-        if not np.any(self.cov):
+        draws nothing, where a Cholesky factor would add jitter noise.  The
+        test is made per row of rng: only the rows that are not point masses
+        factor and draw."""
+        lead = self.cov.shape[:len(rng.lead)]
+        point = ~np.any(self.cov.reshape(lead + (-1,)), axis=-1)
+        if np.all(point):
             return self.mean
-        return self.sample(rng)
+        if not np.any(point):
+            return self.sample(rng)
+        spread = np.flatnonzero(~point)
+        out = self.mean.copy()
+        out[spread] = select_rows(self, spread).sample(rng.rows(spread))
+        return out
 
     def task_prior(self, spec):
         return FullTaskPosterior(self.mean, self.cov + spec.sigma_0)
 
     def centered(self, center, spec):
         return FullTaskPosterior(np.broadcast_to(center, self.mean.shape), spec.sigma_0)
+
+
+def select_rows(state, index):
+    """The rows `index` of a belief or a within-task summary, along the
+    first axis of each of its slots; a slice gives views."""
+    out = object.__new__(type(state))
+    for name in state.__slots__:
+        setattr(out, name, getattr(state, name)[index])
+    return out
+
+
+def join_rows(parts):
+    """One belief from (index, part) pairs whose indices partition its rows:
+    row index[j] of the result is row j of that part."""
+    first = parts[0][1]
+    count = sum(len(index) for index, _ in parts)
+    out = object.__new__(type(first))
+    for name in first.__slots__:
+        kept = getattr(first, name)
+        joined = np.empty((count,) + kept.shape[1:], kept.dtype)
+        for index, part in parts:
+            joined[index] = getattr(part, name)
+        setattr(out, name, joined)
+    return out
+
+
+def _rule(kind):
+    """The base whose task-start rule `kind` follows (see begin_task)."""
+    return ADA_TS if kind.base in _INTEGRATING else kind.base
 
 
 def begin_task(kind, meta, spec, rng, mu_star=None):
@@ -342,7 +386,7 @@ def begin_task(kind, meta, spec, rng, mu_star=None):
     meta-posterior into the task prior (ts never updates it); meta-ts
     centres the task prior on one draw of it, oracle-ts on mu_star, and
     misassigned-ts on the mixture component after mu_star's."""
-    if kind.base in (AGNOSTIC_TS, ADA_TS, ADA_TS_FORCED):
+    if kind.base in _INTEGRATING:
         return meta.task_prior(spec)
     if kind.base == META_TS:
         return meta.centered(meta.draw(rng), spec)
@@ -371,6 +415,15 @@ def ts_select(posterior, actions, rng):
     if not isinstance(actions, (int, np.integer)):
         theta = matvec(np.asarray(actions), theta)
     return np.argmax(theta, axis=-1)
+
+
+def _action_set(spec):
+    """The `actions` argument of ts_select for `spec`."""
+    if spec.family == hierarchy.LINEAR:
+        return spec.actions
+    if spec.family == hierarchy.SEMIBANDIT:
+        return (spec.num_arms, spec.budget)
+    return spec.num_arms
 
 
 # ---------------------------------------------------------------------------
@@ -587,66 +640,107 @@ def mixture_ts_select(state, rng):
 
 
 class _FamilyAgent:
-    """One policy's state across a run of tasks, for every reward family.
+    """The state of one or more policies across a run of tasks, for every
+    reward family.
 
     The agent plays the rows of `rng` in lockstep with the leading shape
     `lead` = `rng.lead`: (R,) for a RunStreams of R rows, (m, R) for one
     with a task axis, whose tasks are all played at once (see
-    `plays_tasks_at_once`), and () for an RngStream.  A row is one run, of
-    this agent or, when `scale` is given, of one of the agents that share its
-    base: `scale` holds one meta-prior width per row (lead's last axis) and
-    stands in for `kind.scale`, so ada-ts, ada-ts+ and ada-ts- play as one
-    agent.  All state has the leading shape; so has each action of `act`:
-    an arm or a linear index into the row's action set, or a sorted int
-    array of arms.  `mu_star` (R, P), or each run's mixture component, and
-    a linear action set, shared or one (K, d) per row, broadcast against
-    lead from the right.  `observe` takes an action and its reward, or the
-    array of its arms' rewards.  Each row uses its own stream as it would
-    alone; `begin_task` takes the (first) task number and sets the task
-    posterior `post` to the policy's task prior (module `begin_task`).
-    ada-ts-forced works out its `opening_actions` once, when it is built: a
-    linear action set that cannot span R^d raises ValueError there.  A
-    linear `observe` turns an action index into its feature vector first,
-    and `end_task` folds the task in with end_task_linear, mixture_update or
-    end_task_gaussian, by family.
+    `plays_tasks_at_once`), and () for an RngStream.  `kinds` is one
+    AgentKind for every row, or one per row of lead's last axis: a row is
+    one run of one policy, and rows of different policies play as one
+    agent.  Each row's meta-prior width is its kind's `scale`.  All state
+    has the leading shape; so has each action of `act`: an arm or a linear
+    index into the row's action set, or a sorted int array of arms.
+    `mu_star` (R, P), or each run's mixture component, and a linear action
+    set, shared or one (K, d) per row, broadcast against lead from the
+    right.  `observe` takes an action and its reward, or the array of its
+    arms' rewards.
+
+    A row does only the work, and makes only the draws, that it would make
+    alone, so each row uses its own stream as it would alone.  `begin_task`
+    takes the (first) task number and sets the task posterior `post` to
+    each row's task prior (module `begin_task`), built for each rule on that
+    rule's rows (`select_rows`, through `rng.rows`) and joined row-wise
+    (`join_rows`); only meta-ts rows draw there.  ada-ts-forced works out
+    the `opening_actions` of its rows once, when it is built: a linear
+    action set that cannot span R^d raises ValueError there.  In an opening
+    round its rows play them while the other rows sample.  A linear
+    `observe` turns an action index into its feature vector first, and
+    `end_task` folds the task into the meta-posterior of the learning rows
+    with end_task_linear, mixture_update or end_task_gaussian, by family.
     """
 
-    def __init__(self, kind, spec, rng, mu_star=None, scale=None):
-        require_family(kind, spec.family)
-        self.kind = kind
+    def __init__(self, kinds, spec, rng, mu_star=None):
+        self.kinds = (kinds,) if isinstance(kinds, AgentKind) else tuple(kinds)
+        if len(self.kinds) != 1 and rng.lead[-1:] != (len(self.kinds),):
+            raise ValueError(f"{len(self.kinds)} agent kinds for the leading shape {rng.lead}")
+        for kind in dict.fromkeys(self.kinds):
+            require_family(kind, spec.family)
         self.spec = spec
         self.rng = rng
         self.lead = rng.lead
         self.mu_star = mu_star
-        self.meta = initial_meta_posterior(
-            spec, self.lead, kind.scale if scale is None else scale)
+        scale = [kind.scale for kind in self.kinds]
+        self.meta = initial_meta_posterior(spec, self.lead, scale if len(scale) > 1 else scale[0])
         self.noise_var = spec.noise_sigma**2
-        self._learns = kind.base in (META_TS, ADA_TS, ADA_TS_FORCED)
         self._linear = spec.family == hierarchy.LINEAR
         self._mixture = spec.family == hierarchy.BERNOULLI_MIXTURE
-        if self._linear:
-            self._actions = spec.actions
-        elif spec.family == hierarchy.SEMIBANDIT:
-            self._actions = (spec.num_arms, spec.budget)
-        else:
-            self._actions = spec.num_arms
-        opening = opening_actions(spec) if kind.base == ADA_TS_FORCED else []
-        per_run = (spec.budget,) if spec.family == hierarchy.SEMIBANDIT else ()
-        self._opening = [np.broadcast_to(a, self.lead + per_run) for a in opening]
+        self._actions = _action_set(spec)
+        self._starts = [(AgentKind(rule), self._rows_where(lambda k, rule=rule: _rule(k) == rule))
+                        for rule in dict.fromkeys(map(_rule, self.kinds))]
+        self._learn = self._rows_where(lambda k: k.base in _LEARNING)
+        self._keep = self._rows_where(lambda k: k.base not in _LEARNING)
+        self._forced = self._rows_where(lambda k: k.base == ADA_TS_FORCED)
+        self._free = self._rows_where(lambda k: k.base != ADA_TS_FORCED)
+        self._opening = []
+        if self._forced is not None:
+            _, forced_spec, forced_rng, _ = self._forced
+            per_run = (spec.budget,) if spec.family == hierarchy.SEMIBANDIT else ()
+            self._opening = [np.broadcast_to(a, forced_rng.lead + per_run)
+                             for a in opening_actions(forced_spec)]
         self.post = None
         self.summary = None
         self.plan = []
 
+    def _rows_where(self, test):
+        """The rows whose kind passes `test` as (rows, spec, rng, mu_star):
+        for every row, slice(None) and the agent's own spec, rng and
+        mu_star; for some, their indices and their part of each; for none,
+        None.  Rows of different kinds lie along a leading shape (R,)."""
+        passed = [test(kind) for kind in self.kinds]
+        if all(passed):
+            return slice(None), self.spec, self.rng, self.mu_star
+        if not any(passed):
+            return None
+        if len(self.lead) != 1:
+            raise ValueError(f"rows of different policies with the leading shape {self.lead}")
+        rows = np.flatnonzero(passed)
+        spec = self.spec
+        if self._linear and spec.actions.ndim == 3:
+            spec = spec.with_actions(spec.actions[rows])
+        mu_star = None if self.mu_star is None else self.mu_star[rows]
+        return rows, spec, self.rng.rows(rows), mu_star
+
     def begin_task(self, s, m):
-        self.post = begin_task(self.kind, self.meta, self.spec, self.rng, self.mu_star)
+        priors = [(rows, begin_task(kind, select_rows(self.meta, rows), spec, rng, mu_star))
+                  for kind, (rows, spec, rng, mu_star) in self._starts]
+        self.post = priors[0][1] if len(priors) == 1 else join_rows(priors)
         summary = LinearSummary if self._linear else ArmSummary
         self.summary = summary(self.spec.param_dim, self.lead)
         self.plan = self._opening if self._opening and s in exploring_tasks(m) else []
 
     def act(self, t):
-        if t <= len(self.plan):
+        if t > len(self.plan):
+            return ts_select(self.post, self._actions, self.rng)
+        if self._free is None:
             return self.plan[t - 1]
-        return ts_select(self.post, self._actions, self.rng)
+        rows, spec, rng, _ = self._free
+        own = ts_select(select_rows(self.post, rows), _action_set(spec), rng)
+        action = np.empty(self.lead + own.shape[1:], own.dtype)
+        action[rows] = own
+        action[self._forced[0]] = self.plan[t - 1]
+        return action
 
     def observe(self, action, observation):
         if self._linear:
@@ -655,11 +749,18 @@ class _FamilyAgent:
         self.summary.add(action, observation)
 
     def end_task(self):
-        if self._learns and self._mixture:
-            self.meta = mixture_update(self.meta, self.summary)
-        elif self._learns:
-            fold = end_task_linear if self._linear else end_task_gaussian
-            self.meta = fold(self.meta, self.summary, self.spec)
+        if self._learn is None:
+            return
+        rows = self._learn[0]
+        meta, summary = select_rows(self.meta, rows), select_rows(self.summary, rows)
+        if self._mixture:
+            meta = mixture_update(meta, summary)
+        else:
+            meta = (end_task_linear if self._linear else end_task_gaussian)(meta, summary, self.spec)
+        if self._keep is not None:
+            keep = self._keep[0]
+            meta = join_rows([(rows, meta), (keep, select_rows(self.meta, keep))])
+        self.meta = meta
 
 
 class GaussianFamilyAgent(_FamilyAgent):
@@ -676,8 +777,8 @@ class MixtureFamilyAgent(_FamilyAgent):
     ``misassigned-ts`` pins a wrong one; ``ts`` plays as ada-ts but never
     updates its component posterior, so every task starts from the prior
     weights.  Only the agent's draws are made run by run, from each run's
-    own stream in the order it would use alone.  `scale` must be 1: a
-    mixture meta-prior has no width to rescale.
+    own stream in the order it would use alone.  Every kind's `scale` must
+    be 1: a mixture meta-prior has no width to rescale.
     """
 
     def act(self, t):

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import agents as agents_mod
 from . import bounds, harness, hierarchy
+from .gauss_core import SEED_BOUND
 
 
 def _checked(convert, ok, rule):
@@ -88,6 +89,7 @@ _width = _checked(float, lambda v: v >= 0 and math.isfinite(v * v),
                   "a number >= 0 with a finite square")
 _noise = _checked(float, lambda v: v > 0 and math.isfinite(v * v),
                   "a number > 0 with a finite square")
+_seed = _checked(int, lambda v: 0 <= v < SEED_BOUND, "an integer in [0, 2**53)")
 _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _level = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 _weights = _checked(_comma_list(_nonnegative), lambda w: sum(w) > 0, "weights not all zero")
@@ -126,7 +128,7 @@ def _build_parser():
             p.add_argument("--runs", type=_count, required=True)
             p.add_argument("--agents", type=_comma_list(_agent_name), required=True,
                            help="comma list: ts,oracle-ts,meta-ts,ada-ts,ada-ts+,ada-ts-,ada-ts-forced")
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
             p.add_argument("--common-tasks", type=_bool_flag, dest="common_tasks",
                            default=True)
             p.add_argument("--out", required=True)
@@ -142,7 +144,7 @@ def _build_parser():
     bound_p.add_argument("--delta", type=_level, help="failure level; default 1/rounds**2")
     bound_p.add_argument("--eta", type=_positive,
                          help="exploration strength; derived from --seed's run-0 action set if omitted")
-    bound_p.add_argument("--seed", type=int,
+    bound_p.add_argument("--seed", type=_seed,
                          help="seed of the run-0 action set that a linear bound without "
                               "--eta derives it from; default 0")
 

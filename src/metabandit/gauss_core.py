@@ -7,6 +7,8 @@ that degenerate (rank-deficient) covariances, which arise naturally from
 point-mass priors, still factor.
 """
 
+import math
+
 import numpy as np
 
 # Diagonal jitter ladder tried in order until the factorization succeeds.
@@ -88,6 +90,10 @@ def mvn_sample(mean, cov, rng):
     return mean + matvec(lower, z)
 
 
+# Seeds are integers in [0, SEED_BOUND): see RngStream.
+SEED_BOUND = 2**53
+
+
 class RngStream:
     """Counter-based random stream fully determined by (seed, stream_id).
 
@@ -105,9 +111,17 @@ class RngStream:
     def __init__(self, seed, stream_id=0):
         self.seed = int(seed) & self.MASK
         self.stream_id = int(stream_id) & self.MASK
-        self.gen = np.random.Generator(
-            np.random.Philox(key=[self.seed, self.stream_id])
-        )
+        # numpy turns the key [seed, stream_id] into float64 when one of the
+        # two is below 2**63 and the other is not, as about half of the
+        # harness's hashed stream ids are, and rounds both to 53 bits.  So
+        # the cli and harness.ExperimentConfig refuse seeds from SEED_BOUND
+        # up, two of which could share a stream.  Every stream rests on this
+        # key, so it stays; only a value that rounds up to 2**64, which does
+        # not cast back to the key's uint64, is held at the double below.
+        key = np.array([self.seed, self.stream_id])
+        if key.dtype == np.float64:
+            key = np.minimum(key, np.nextafter(2.0**64, 0.0))
+        self.gen = np.random.Generator(np.random.Philox(key=key))
 
     def standard_normal(self, size=None):
         return self.gen.standard_normal(size)
@@ -143,19 +157,24 @@ class RunStreams:
     `size` per row, stacked as lead + size in a C-contiguous float64 array of
     its own.  The leading shape `lead` of state played from it is (rows,),
     or (tasks, rows) with a task axis.  A row is one run of one agent; a
-    batch of agents that play together has one row per (agent, run).
+    block of agents that play together has one row per (agent, run).
+    `rows(index)` is a view of some of the rows (a boolean mask or integer
+    indices) that draws as a RunStreams of its own: its draws advance only
+    its rows.
 
-    The draws come from blocks.  A refill has each stream make `block` draws
-    (`tasks` * `block` with a task axis) in one call, written in place into
-    its row of one (rows, *tasks, block, *size) array.  A block draw
-    consumes a stream exactly as the same draws made one by one, so every
-    row sees the numbers it would see alone, however the block boundaries
-    fall, as long as all draws from one stream have one kind and shape.
-    `block` is then only the number of draws per refill, free of the task
-    length, except with a task axis: there the draw of (task s, row, i-th
-    call) is the stream's draw number (s - 1) * block + i, the tasks of a
-    run that draws `block` times per task and nothing in between, played at
-    once.  A request of another kind or shape while a block still holds
+    The draws come from blocks, and each row keeps its own count of the
+    draws it has used.  When a row's block runs out, that row's stream
+    makes `block` draws (`tasks` * `block` with a task axis) in one call,
+    written in place into its row of one (rows, *tasks, block, *size)
+    array.  A block draw consumes a stream exactly as the same draws made
+    one by one, so every row sees the numbers it would see alone, however
+    the block boundaries fall and whichever rows each draw takes, as long as
+    all draws from one stream have one kind and shape.  `block` is then
+    only the number of draws per refill, free of the task length, except
+    with a task axis: there the draw of (task s, row, i-th call) is the
+    stream's draw number (s - 1) * block + i, the tasks of a run that draws
+    `block` times per task and nothing in between, played at once.  A
+    request of another kind or shape while any row's block still holds
     draws would reorder the streams and raises ValueError.  Draws whose
     consumption varies (Beta variates) cannot be blocked: take them from
     each of `streams` in turn.
@@ -165,31 +184,74 @@ class RunStreams:
         self.streams = tuple(streams)
         self.lead = (() if tasks is None else (int(tasks),)) + (len(self.streams),)
         self.block = int(block)
-        self._drawn = None
-        self._pending = None  # (method, size) the pending block was drawn for
-        self._next = self.block
+        # flat offset of each (task, row) block in the (rows, *tasks, block)
+        # layout, and of each row's next draw: every row starts used up
+        rows_first = np.arange(math.prod(self.lead)).reshape(self.lead[::-1]).T
+        self._start = np.ascontiguousarray(rows_first) * self.block
+        self._at = self._start + self.block
+        self._left = 0  # draws of every row before some row refills
+        self._drawn = self._flat = None
+        self._pending = None  # (method, size) the blocks were drawn for
 
-    def _draw(self, method, size):
-        if self._next == self.block:
+    def rows(self, index):
+        return _RowStreams(self, np.arange(len(self.streams))[index])
+
+    def _used(self):
+        """Draws each row has used of its block."""
+        return (self._at - self._start).reshape(-1, len(self.streams))[0]
+
+    def _draw(self, method, size, rows=None):
+        if (method, size) != self._pending:
+            if self._pending is not None and np.any(self._used() < self.block):
+                raise ValueError(
+                    f"{method} draw of size {size} while {self._pending[0]} draws "
+                    f"of size {self._pending[1]} are pending"
+                )
             shape = () if size is None else tuple(np.atleast_1d(size))
             self._drawn = np.empty((len(self.streams), *self.lead[:-1], self.block, *shape))
-            for row, stream in zip(self._drawn, self.streams):
-                getattr(stream.gen, method)(out=row)
+            self._flat = self._drawn.reshape((-1, *shape))
             self._pending = (method, size)
-            self._next = 0
-        elif (method, size) != self._pending:
-            raise ValueError(
-                f"{method} draw of size {size} while {self._pending[0]} draws "
-                f"of size {self._pending[1]} are pending"
-            )
-        i = self._next
-        self._next += 1
-        if len(self.lead) == 1:
-            return self._drawn[:, i].copy()
-        return self._drawn[:, :, i].swapaxes(0, 1).copy()
+        if rows is None:
+            if not self._left:
+                self._refill(method, np.flatnonzero(self._used() == self.block))
+                self._left = self.block - int(self._used().max())
+            self._left -= 1
+            out = self._flat.take(self._at, axis=0)
+            self._at += 1
+            return out
+        used = self._used()[rows]
+        self._refill(method, rows[used == self.block])
+        at = self._at[..., rows]
+        self._at[..., rows] = at + 1
+        self._left = self.block - int(self._used().max())
+        return self._flat.take(at, axis=0)
+
+    def _refill(self, method, rows):
+        for row in rows:
+            getattr(self.streams[row].gen, method)(out=self._drawn[row])
+            self._at[..., row] = self._start[..., row]
 
     def standard_normal(self, size=None):
         return self._draw("standard_normal", size)
 
     def random(self, size=None):
         return self._draw("random", size)
+
+
+class _RowStreams:
+    """Rows of a RunStreams (see RunStreams.rows), with their streams and
+    the leading shape of state played from them."""
+
+    def __init__(self, of, index):
+        self._of, self._index = of, index
+        self.streams = tuple(of.streams[row] for row in index)
+        self.lead = of.lead[:-1] + (len(index),)
+
+    def rows(self, index):
+        return _RowStreams(self._of, self._index[index])
+
+    def standard_normal(self, size=None):
+        return self._of._draw("standard_normal", size, self._index)
+
+    def random(self, size=None):
+        return self._of._draw("random", size, self._index)

@@ -7,17 +7,21 @@ runs of an experiment in lockstep: its state carries a leading shape `lead`
 of rows, and one round of every row is a few array operations (see
 agents.GaussianFamilyAgent and agents.MixtureFamilyAgent), while each row
 still consumes its own streams exactly as it would alone.  A row is one
-(agent, run) pair: agents that share a base, such as ada-ts, ada-ts+ and
-ada-ts-, play as one block of (agent, run) rows, each with its own
-meta-prior width.  Agents that play all tasks at once
-(agents.plays_tasks_at_once: Gaussian ts and oracle-ts) have the leading
-shape (m, rows) and play n lockstep rounds instead of m * n.  Streams whose
-draws have a fixed size are drawn in blocks (gauss_core.RunStreams): one
-block of n rounds for all tasks at once, and otherwise a refill every
-max(n, MIN_BLOCK) draws, so that short tasks played one after another share
-a refill.  A Bernoulli-mixture agent's own stream is drawn run by run
-instead, because its Beta draws consume a variable amount of stream.  Next
-to the regret, a RegretTrace keeps every agent's final meta-posterior.
+(agent, run) pair, and every agent that plays its tasks one after another
+plays in one block of (agent, run) rows, one m * n loop, each row with its
+own policy and meta-prior width.  Agents that play all tasks at once
+(agents.plays_tasks_at_once: Gaussian ts and oracle-ts) each play a block
+of their own, with the leading shape (m, rows), in n lockstep rounds
+instead of m * n.  Streams whose draws have a fixed size are drawn in
+blocks (gauss_core.RunStreams), each row refilling its own: one block of n
+rounds for all tasks at once, and otherwise a refill every max(n,
+MIN_BLOCK) draws of the row, so that short tasks played one after another
+share a refill.  Rows of a block draw unequally (only meta-ts rows draw at
+task start, and ada-ts-forced rows draw nothing in opening rounds), so a
+draw may take only some rows, and advances only their streams.  A
+Bernoulli-mixture agent's own stream is drawn run by run instead, because
+its Beta draws consume a variable amount of stream.  Next to the regret, a
+RegretTrace keeps every agent's final meta-posterior.
 
 Each (agent, run) row faces its run's world (linear action set,
 meta-parameter, task sequence), sampled from the run's own task stream,
@@ -36,7 +40,7 @@ import numpy as np
 
 from . import agents as agents_mod
 from . import hierarchy
-from .gauss_core import RngStream, RunStreams
+from .gauss_core import SEED_BOUND, RngStream, RunStreams
 
 
 # Fewest draws per row that a stream of tasks played one after another
@@ -66,6 +70,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.m < 1 or self.n < 1 or self.runs < 1:
             raise ValueError("m, n and runs must be positive")
+        if not 0 <= self.seed < SEED_BOUND:
+            raise ValueError(f"seed must be in [0, 2**53), got {self.seed}")
         labels = [kind.label for kind in self.agents]
         if len(labels) != len(set(labels)):
             raise ValueError("duplicate agent labels")
@@ -155,20 +161,15 @@ def _sample_world(config, rows, sampled):
     return spec, np.stack(mu_stars), hierarchy.stack_tasks(tasks)
 
 
-def _rows(belief, index):
-    """A belief's rows at `index` of its first axis; every belief class
-    takes its slots, in order, as its constructor's arguments."""
-    return type(belief)(*(getattr(belief, name)[index] for name in belief.__slots__))
-
-
 def _run_agent(config, rows, sampled):
-    """Instant regret (len(rows), m, n) of (kind, run) rows whose kinds share
-    a base, one row per (kind, run) in that order, and the agent's final
-    meta-posterior with the leading shape (rows,); one agent plays all rows
-    in lockstep, each row with its kind's meta-prior width, in the world of
-    those rows (see _sample_world).  An agent that plays all tasks at once
-    (agents.plays_tasks_at_once) plays the whole (m, rows) stack of tasks in
-    n rounds; any other plays task s as the view `tasks[s - 1]`.
+    """Instant regret (len(rows), m, n) of (kind, run) rows, one row per
+    (kind, run) in that order, and the agent's final meta-posterior with the
+    leading shape (rows,); one agent plays all rows in lockstep, each row
+    with its kind's policy and meta-prior width, in the world of those rows
+    (see _sample_world).  Either every kind plays all tasks at once
+    (agents.plays_tasks_at_once), and the agent plays the whole (m, rows)
+    stack of tasks in n rounds, or none does, and it plays task s as the
+    view `tasks[s - 1]`.
 
     A float overflow or invalid operation fails the rows instead of reaching
     their regret.  The error names the agents, the runs, the task (1..m for
@@ -176,8 +177,8 @@ def _run_agent(config, rows, sampled):
     0, and one while the agent is built names task 0.
     """
     spec, mu_star, tasks = _sample_world(config, rows, sampled)
-    kind = rows[0][0]
-    at_once = agents_mod.plays_tasks_at_once(kind, spec.family)
+    kinds = [kind for kind, _ in rows]
+    at_once = agents_mod.plays_tasks_at_once(kinds[0], spec.family)
 
     def lockstep(purpose):
         streams = [stream(config.seed, purpose, k.label, run) for k, run in rows]
@@ -194,12 +195,11 @@ def _run_agent(config, rows, sampled):
         agent_class = agents_mod.MixtureFamilyAgent
     else:
         agent_class = agents_mod.GaussianFamilyAgent
-    scale = np.array([k.scale for k, _ in rows])
     rewards = lockstep("rewards")
     s = t = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            agent = agent_class(kind, spec, lockstep("agent"), mu_star, scale)
+            agent = agent_class(kinds, spec, lockstep("agent"), mu_star)
             # all tasks at once begin as task 1 does
             for first, (s, task, regret) in enumerate(blocks, start=1):
                 t = 0
@@ -219,7 +219,7 @@ def _run_agent(config, rows, sampled):
         ) from err
     # an agent that plays all tasks at once never updates its meta-posterior,
     # so every task holds the same one
-    return instant, (_rows(agent.meta, 0) if at_once else agent.meta)
+    return instant, (agents_mod.select_rows(agent.meta, 0) if at_once else agent.meta)
 
 
 def run_single(config, kind, run):
@@ -234,12 +234,14 @@ def run_single(config, kind, run):
 
 
 def _blocks(config):
-    """The agents of `config` grouped into blocks that play as one agent:
-    agents with the same base, which differ only in their meta-prior width,
-    such as ada-ts, ada-ts+ and ada-ts-."""
+    """The agents of `config` grouped into blocks that play as one agent, in
+    config order: every agent that plays its tasks one after another in one
+    block, and each agent that plays all tasks at once
+    (agents.plays_tasks_at_once) in a block of its own."""
     blocks = {}
     for kind in config.agents:
-        blocks.setdefault(kind.base, []).append(kind)
+        at_once = agents_mod.plays_tasks_at_once(kind, config.spec.family)
+        blocks.setdefault(kind if at_once else None, []).append(kind)
     return list(blocks.values())
 
 
@@ -255,7 +257,7 @@ def run_experiment(config):
         for i, kind in enumerate(kinds):
             own = slice(i * config.runs, (i + 1) * config.runs)
             instant[kind.label] = block[own]
-            final_meta[kind.label] = _rows(meta, own)
+            final_meta[kind.label] = agents_mod.select_rows(meta, own)
         hashes.update(((k.label, run), sampled[_task_key(config, k, run)][-1]) for k, run in rows)
     instant = {kind.label: instant[kind.label] for kind in config.agents}
     final_meta = {kind.label: final_meta[kind.label] for kind in config.agents}

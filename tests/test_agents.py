@@ -197,6 +197,35 @@ def test_point_mass_linear_meta_ts_draws_nothing():
     assert [s.random() for s in played.streams] == fresh
 
 
+def test_dense_point_mass_test_is_made_per_row():
+    """Rows of a dense meta-posterior that are point masses return their
+    mean and draw nothing from their streams; the other rows draw as each
+    would alone."""
+    means = np.array([[0.3, -0.2], [0.1, 0.4], [-0.5, 0.2]])
+    covs = np.stack([np.zeros((2, 2)), [[1.0, 0.3], [0.3, 0.5]], np.zeros((2, 2))])
+    played = RunStreams([RngStream(33, r) for r in range(3)], block=2)
+    drawn = agents.FullTaskPosterior(means, covs).draw(played)
+    after = played.standard_normal((2,))
+    for r in range(3):
+        alone = RngStream(33, r)
+        assert drawn[r].tobytes() == agents.FullTaskPosterior(means[r], covs[r]).draw(alone).tobytes()
+        assert after[r].tobytes() == alone.standard_normal(2).tobytes()
+    assert np.array_equal(drawn[[0, 2]], means[[0, 2]])
+
+
+def test_agent_takes_one_kind_or_one_per_row():
+    spec = gauss_spec()
+    ada, meta = agents.AgentKind("ada-ts"), agents.AgentKind("meta-ts")
+    rows = RunStreams([RngStream(34, r) for r in range(3)], block=2)
+    with pytest.raises(ValueError, match="2 agent kinds"):
+        agents.GaussianFamilyAgent([ada, meta], spec, rows)
+    tasks = RunStreams([RngStream(34, r) for r in range(2)], block=2, tasks=4)
+    with pytest.raises(ValueError, match="different policies"):
+        agents.GaussianFamilyAgent([ada, meta], spec, tasks)
+    agent = agents.GaussianFamilyAgent([ada, meta, ada], spec, rows)
+    assert agent.kinds == (ada, meta, ada) and agent.lead == (3,)
+
+
 def test_degenerate_meta_ts_equals_ada_ts():
     spec = gauss_spec()
     meta = agents.DiagonalTaskPosterior([0.7, -0.1], [0.0, 0.0])

@@ -1,4 +1,5 @@
-"""The benchmark's workloads write the CSV bytes pinned here.
+"""The benchmark's workloads write the CSV bytes pinned here, and play as
+the blocks pinned here.
 
 bench/run.py is loaded by path, as tests/test_bench_names.py loads
 bench/spans.py, and each of its WORKLOADS is run once at seed 1 through its
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from metabandit import cli
+from metabandit import agents, cli, harness
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -48,3 +49,18 @@ def test_workload_writes_its_pinned_bytes_at_seed_1(bench_run, name, tmp_path):
     result = bench_run.run_pass(cli, bench_run.WORKLOADS[name], 1, tmp_path / f"{name}.csv")
     assert result.code == 0
     assert hashlib.sha256(result.data).hexdigest() == BENCH_CSV_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(BENCH_CSV_DIGESTS))
+def test_workload_plays_one_sequential_block(bench_run, name, tmp_path):
+    """Every agent that plays its tasks one after another shares one
+    lockstep block; each agent that plays all tasks at once has its own."""
+    argv = bench_run.WORKLOADS[name].argv(1, tmp_path / f"{name}.csv")
+    config = cli.build_config(cli.parse(argv))
+    at_once = [kind for kind in config.agents
+               if agents.plays_tasks_at_once(kind, config.spec.family)]
+    sequential = [kind for kind in config.agents if kind not in at_once]
+    assert sequential
+    blocks = harness._blocks(config)
+    assert blocks.count(sequential) == 1
+    assert [block for block in blocks if block != sequential] == [[kind] for kind in at_once]

@@ -230,6 +230,28 @@ def test_size_list_outside_sweep_exits_2_and_writes_nothing(tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "bound"])
+@pytest.mark.parametrize("seed", [-1, 2**53, 2**64 + 1])
+def test_seed_outside_the_key_range_exits_2_and_writes_nothing(tmp_path, capsys, command,
+                                                               seed):
+    """A seed outside [0, 2**53) could share its streams with another seed,
+    or fail mid-run (see gauss_core.RngStream); it is refused before any
+    run, from the command line and from a config file."""
+    argv = minimal_argv(command, tmp_path)
+    config = tmp_path / "seed.cfg"
+    config.write_text(f"seed={seed}\n")
+    for given in ([f"--seed={seed}"], ["--config", str(config)]):
+        assert cli.main(argv + given) == 2
+        assert "--seed" in capsys.readouterr().err.partition("error:")[2]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["seed.cfg"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "bound"])
+def test_largest_seed_runs(tmp_path, capsys, command):
+    assert cli.main(minimal_argv(command, tmp_path) + ["--seed", str(2**53 - 1)]) == 0
+    capsys.readouterr()
+
+
 def test_semibandit_budget_above_arms_exits_2(capsys):
     assert cli.main(run_argv(**{"--env": "semibandit", "--arms": "3", "--budget": "4"})) == 2
     assert "--budget" in capsys.readouterr().err.partition("error:")[2]

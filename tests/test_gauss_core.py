@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metabandit import gauss_core as gc
 
@@ -201,6 +202,27 @@ def test_stream_accepts_large_ids():
     assert np.array_equal(a, b)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, gc.SEED_BOUND - 1), st.integers(0, 2**64 - 1))
+@example(0, 2**64 - 1)
+@example(gc.SEED_BOUND - 1, 2**63)
+def test_every_accepted_seed_and_id_build_one_stream(seed, stream_id):
+    """Every seed the cli and harness accept builds a stream with any id,
+    with no floating-point error on the way to numpy's key, and the same
+    pair draws the same numbers."""
+    with np.errstate(all="raise"):
+        first, second = gc.RngStream(seed, stream_id), gc.RngStream(seed, stream_id)
+    assert first.random(3).tobytes() == second.random(3).tobytes()
+
+
+def test_stream_keys_keep_numpys_conversion():
+    """The key is the one numpy makes of [seed, stream_id]: exact while both
+    are below 2**63, rounded to a double once one of them is not."""
+    for seed, stream_id in ((5, 7), (5, 2**63 + 5), (2**53 - 1, 2**64 - 2048), (2**64 - 1, 2**63)):
+        numpys = np.random.Generator(np.random.Philox(key=[seed, stream_id])).random(3)
+        assert gc.RngStream(seed, stream_id).random(3).tobytes() == numpys.tobytes()
+
+
 def test_block_draw_equals_mixed_size_sequential_draws():
     """One standard_normal(n) call consumes a stream exactly like n single
     draws made in calls of any sizes; batched runs rest on this."""
@@ -259,6 +281,53 @@ def test_run_streams_refuse_another_kind_while_draws_are_pending():
     streams.random()  # block used up: any kind
     with pytest.raises(ValueError, match="standard_normal draw"):
         streams.standard_normal()
+
+
+@pytest.mark.parametrize("method", ["standard_normal", "random"])
+@pytest.mark.parametrize("size", [None, 2])
+def test_row_masked_draws_give_each_row_its_solo_draws(method, size):
+    """Draws over random row masks, with whole-row draws among them, give
+    each row the numbers its stream gives one by one: a draw advances only
+    its rows, and each row refills on its own when its block runs out."""
+    ids, pick = [4, 9, 1, 6, 3], np.random.default_rng(0)
+    streams = gc.RunStreams([gc.RngStream(7, i) for i in ids], block=3)
+    drawn = [[] for _ in ids]
+    for _ in range(40):
+        mask = pick.random(len(ids)) < 0.5
+        if not mask.any():
+            mask[:] = True  # a whole-row draw
+            out = getattr(streams, method)(size)
+        else:
+            view = streams.rows(mask)
+            assert view.lead == (mask.sum(),)
+            assert view.streams == tuple(np.array(streams.streams)[mask])
+            out = getattr(view, method)(size)
+        assert out.shape == (mask.sum(),) + (() if size is None else (size,))
+        for row, draw in zip(np.flatnonzero(mask), out):
+            drawn[row].append(draw)
+    for row, stream_id in enumerate(ids):
+        solo = gc.RngStream(7, stream_id)
+        expected = [getattr(solo, method)(size) for _ in drawn[row]]
+        assert np.array(drawn[row]).tobytes() == np.array(expected).tobytes()
+
+
+def test_rows_of_a_view_are_rows_of_the_whole():
+    streams = gc.RunStreams([gc.RngStream(7, i) for i in range(4)], block=2)
+    inner = streams.rows([1, 2, 3]).rows([0, 2])
+    assert inner.streams == (streams.streams[1], streams.streams[3])
+    draws = np.array([inner.standard_normal() for _ in range(5)])
+    for column, stream_id in enumerate((1, 3)):
+        solo = gc.RngStream(7, stream_id)
+        assert draws[:, column].tobytes() == solo.standard_normal(5).tobytes()
+
+
+def test_row_masked_draws_refuse_another_kind_while_any_row_holds_draws():
+    streams = gc.RunStreams([gc.RngStream(7, 0), gc.RngStream(7, 1)], block=2)
+    streams.rows([0]).standard_normal()
+    with pytest.raises(ValueError, match="random draw"):
+        streams.rows([1]).random()  # row 1 holds none, but row 0 does
+    streams.rows([0]).standard_normal()
+    streams.rows([1]).random()  # every block used up: any kind
 
 
 @pytest.mark.parametrize("method", ["standard_normal", "random"])

@@ -24,6 +24,10 @@ def test_config_validation():
         small_config(agent_names=())
     with pytest.raises(ValueError):
         small_config(agent_names=("ts", "ts"))
+    for seed in (-1, 2**53, 2**64 + 1):
+        with pytest.raises(ValueError, match="seed"):
+            small_config(seed=seed)
+    assert small_config(seed=2**53 - 1).seed == 2**53 - 1
 
 
 def test_run_single_shape_and_determinism():
@@ -241,15 +245,19 @@ def test_lockstep_mixture_agents_replay_as_one_run_agents(monkeypatch, common_ta
     config = small_config(agent_names=MIXTURE_KINDS, spec=spec, runs=5, m=4, n=9,
                           seed=23, common_tasks=common_tasks)
     trace = harness.run_experiment(config)
-    lockstep = {agent.kind.label: agent for agent in built}
-    assert all(agent.lead == (config.runs,) for agent in built)
+    # every mixture agent plays its tasks one after another: one block of
+    # (kind, run) rows
+    (lockstep,) = built
+    assert lockstep.lead == (len(config.agents) * config.runs,)
+    assert lockstep.kinds == tuple(kind for kind in config.agents for _ in range(config.runs))
     monkeypatch.undo()
     for kind in config.agents:
         for run in range(config.runs):
             instant, meta = _replay_run(config, kind, run)
             assert trace.instant[kind.label][run].tobytes() == instant.tobytes()
             if kind.label == "ada-ts":
-                whole = lockstep["ada-ts"].meta.weights[run]
+                row = config.agents.index(kind) * config.runs + run
+                whole = lockstep.meta.weights[row]
                 assert whole.tobytes() == meta.weights.tobytes()
                 kept = trace.final_meta["ada-ts"].weights[run]
                 assert kept.tobytes() == meta.weights.tobytes()
@@ -315,8 +323,10 @@ def test_only_streams_with_a_task_axis_refill_per_task(monkeypatch, family, n):
     harness.run_experiment(config)
     at_once = sum(agents.plays_tasks_at_once(kind, config.spec.family) for kind in config.agents)
     assert at_once == (2 if family == "gaussian" else 0)
-    # an agent and a reward stream for each of the four blocks of agents
-    assert len(built) == 8
+    # an agent and a reward stream for each block: one of the agents that
+    # play their tasks one after another, and one per agent that plays all
+    # tasks at once
+    assert len(built) == 2 * (1 + at_once)
     assert sum(len(streams.lead) == 2 for streams in built) == 2 * at_once
     for streams in built:
         if len(streams.lead) == 2:
@@ -377,6 +387,41 @@ def test_rescaled_agents_play_as_one_batch_with_the_bits_of_each_alone(monkeypat
         assert trace.instant[name].tobytes() == alone.instant[name].tobytes()
         for run in range(3):
             assert trace.task_hashes[(name, run)] == alone.task_hashes[(name, run)]
+
+
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+@pytest.mark.parametrize("common_tasks", [True, False])
+def test_a_block_of_every_policy_has_the_bits_of_each_alone(monkeypatch, family, common_tasks):
+    """Every policy that plays its tasks one after another shares one block
+    of (kind, run) rows; each label's trace, task hashes and final
+    meta-posterior are those it gets played alone."""
+    leads = []
+    agent_class = agents.MixtureFamilyAgent if family == "mixture" else agents.GaussianFamilyAgent
+    real_init = agent_class.__init__
+
+    def recording(agent, *args, **kwargs):
+        real_init(agent, *args, **kwargs)
+        leads.append(agent.lead)
+
+    monkeypatch.setattr(agent_class, "__init__", recording)
+    names = MIXTURE_KINDS if family == "mixture" else GAUSSIAN_KINDS
+    kwargs = dict(spec=FAMILY_SPECS[family](), runs=3, m=5, n=6, seed=31,
+                  common_tasks=common_tasks)
+    config = small_config(agent_names=names, **kwargs)
+    trace = harness.run_experiment(config)
+    sequential = [kind for kind in config.agents
+                  if not agents.plays_tasks_at_once(kind, config.spec.family)]
+    assert (len(sequential) * config.runs,) in leads
+    assert len(leads) == 1 + len(config.agents) - len(sequential)
+    monkeypatch.undo()
+    for name in names:
+        alone = harness.run_experiment(small_config(agent_names=(name,), **kwargs))
+        assert trace.instant[name].tobytes() == alone.instant[name].tobytes()
+        for run in range(config.runs):
+            assert trace.task_hashes[(name, run)] == alone.task_hashes[(name, run)]
+        for slot in alone.final_meta[name].__slots__:
+            kept = getattr(trace.final_meta[name], slot)
+            assert kept.tobytes() == getattr(alone.final_meta[name], slot).tobytes()
 
 
 def test_cumulative_is_monotone_and_flattened():
@@ -556,6 +601,14 @@ def test_failure_of_a_batch_names_every_agent_in_it(monkeypatch):
     config = small_config(agent_names=("ada-ts", "ada-ts+", "ada-ts-"), runs=3, m=3, n=4)
     _fail_after(monkeypatch, 6)
     with pytest.raises(RuntimeError, match=r"run failed at agent=ada-ts,ada-ts\+,ada-ts- "
+                                           r"run=0\.\.2 task=2 round=3:"):
+        harness.run_experiment(config)
+
+
+def test_failure_of_a_block_of_policies_names_every_agent_in_it(monkeypatch):
+    config = small_config(agent_names=("meta-ts", "ada-ts"), runs=3, m=3, n=4)
+    _fail_after(monkeypatch, 6)
+    with pytest.raises(RuntimeError, match=r"run failed at agent=meta-ts,ada-ts "
                                            r"run=0\.\.2 task=2 round=3:"):
         harness.run_experiment(config)
 
