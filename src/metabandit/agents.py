@@ -23,8 +23,9 @@ reward, noise_var)` conditions on an arm (or a row of arms) or a feature
 vector (the mixture ignores `noise_var`); a meta-posterior's
 `task_prior(spec)` is the task prior integrated over it, `draw(rng)` draws
 one meta-parameter per row, and `centered(center, spec)` is the task prior
-at a meta-parameter.  The Gaussian beliefs `sample(rng)` one draw per row
-of the mean beyond rng's leading shape, as gauss_core.mvn_sample does.
+at a meta-parameter.  Every belief can `sample(rng)` one draw per row of
+its leading shape beyond rng's, as gauss_core.mvn_sample does: the
+Gaussian beliefs a parameter, the mixture each arm's mean as its log-odds.
 
 The state of every family (posteriors, meta-posteriors, sufficient
 statistics) has a leading shape `lead`: (rows,) for many rows in lockstep,
@@ -37,19 +38,20 @@ rows that learn, so a row does only the work it would do alone.  Policies
 that neither learn between tasks nor draw at task start
 (`plays_tasks_at_once`) play all m tasks of a run at once, with the leading
 shape (m, rows); per-row data broadcasts against either shape from the
-right.  Each row still draws from its own stream: Gaussian draws come in
-blocks (gauss_core.RunStreams), and a draw that only some rows make (a
-meta-ts row's draw at task start, the rows that sample while ada-ts-forced
-rows play their opening actions) takes those rows of the streams
-(`rng.rows`), while a mixture agent's draws are made run by run, because a
-Beta draw uses a variable amount of stream.
+right.  Each row still draws from its own stream, in blocks
+(gauss_core.RunStreams): normals for the Gaussian families, and for the
+mixture a fixed number of uniforms per draw, from which each Beta variate
+is made as a ratio of Gamma variates (gauss_core.log_gamma).  A draw that
+only some rows make (a meta-ts row's draw at task start, the rows that
+sample while ada-ts-forced rows play their opening actions) takes those
+rows of the streams (`rng.rows`).
 """
 
 from dataclasses import dataclass
 import numpy as np
 
 from . import hierarchy
-from .gauss_core import dot, matvec, mvn_sample, symmetrize
+from .gauss_core import GAMMA_UNIFORMS, dot, log_gamma, matvec, mvn_sample, symmetrize
 # Not used here: the benchmark's tracer wraps these names in this module and
 # checks that a linear round calls neither.
 from .gauss_core import solve_spd, spd_inverse  # noqa: F401
@@ -122,9 +124,8 @@ def plays_tasks_at_once(kind, family):
     """Whether all m tasks of a run can be played at once, along a leading
     task axis.  Gaussian-family ts and oracle-ts neither learn between tasks
     nor draw at task start, so every task starts from the same
-    state and its draws follow the previous task's in the run's streams.  A
-    mixture agent's Beta draws use a variable amount of stream, so its tasks
-    stay one after another."""
+    state and its draws follow the previous task's in the run's streams.
+    Mixture agents play their tasks one after another."""
     return kind.base in (AGNOSTIC_TS, ORACLE_TS) and family != hierarchy.BERNOULLI_MIXTURE
 
 
@@ -602,11 +603,35 @@ class MixtureTaskState:
     def task_prior(self, spec):
         return MixtureTaskState(self.log_weights, spec.mixture_alphas, spec.mixture_betas)
 
+    def _uniforms(self, rng):
+        """The uniforms of one draw per row beyond rng's leading shape,
+        mixture_draw_size of them along a last axis."""
+        size = mixture_draw_size(self.alphas.shape[-1])
+        return rng.random(self.log_weights.shape[len(rng.lead):-1] + (size,))
+
+    def sample(self, rng):
+        """Each arm's mean under one draw per row, as its log-odds: a
+        component picked by the row's first uniform, as `draw` picks it,
+        then per arm a Beta(alpha, beta) variate X / (X + Y) of that
+        component's posterior, given as log X - log Y, where X and Y are
+        Gamma(alpha) and Gamma(beta) variates (gauss_core.log_gamma).  The
+        log-odds orders arms as their means do, and stays finite where
+        X / (X + Y) would round to 0 or 1."""
+        u = self._uniforms(rng)
+        lead, num_arms = self.log_weights.shape[:-1], self.alphas.shape[-1]
+        picked = np.ravel(hierarchy.flat_index(
+            self.log_weights.shape, hierarchy.pick_component(self.weights, u[..., 0])))
+        shape = np.concatenate([self.alphas.reshape(-1, num_arms)[picked],
+                                self.betas.reshape(-1, num_arms)[picked]], axis=-1)
+        log_x = log_gamma(shape.reshape(lead + (2 * num_arms,)),
+                          u[..., 1:].reshape(lead + (2 * num_arms, GAMMA_UNIFORMS)), rng)
+        return log_x[..., :num_arms] - log_x[..., num_arms:]
+
     def draw(self, rng):
-        """One component per row of the log-weights, picked by one `random()`
-        from each of rng's streams in turn."""
-        u = np.reshape([stream.random() for stream in rng.streams], self.log_weights.shape[:-1])
-        return hierarchy.pick_component(self.weights, u)
+        """One component per row of the log-weights, picked by the first of
+        the uniforms that `sample` draws: every draw from a mixture agent's
+        stream then has one kind and size, and can come from blocks."""
+        return hierarchy.pick_component(self.weights, self._uniforms(rng)[..., 0])
 
     def centered(self, center, spec):
         log_w = np.full(self.log_weights.shape, -np.inf)
@@ -615,23 +640,18 @@ class MixtureTaskState:
         return MixtureTaskState(log_w, spec.mixture_alphas, spec.mixture_betas)
 
 
-def mixture_ts_select(state, rng):
-    """Sample a component, then arm means from its Beta posteriors, and play
-    the greedy arm; ties to the lowest index.
+def mixture_draw_size(num_arms):
+    """Uniforms per draw of a mixture belief with `num_arms` arms: one for
+    the component, then GAMMA_UNIFORMS for each of the two Gamma variates
+    of each arm's Beta variate."""
+    return 1 + 2 * num_arms * GAMMA_UNIFORMS
 
-    The result holds one arm per run of the leading shape of `state`, whose
-    runs are the streams of `rng`.  Each run's stream gives one `random()`
-    (the component, picked by `state.draw` as meta-ts picks its task's),
-    then one scalar Beta draw per arm, as it would alone: Beta draws use a
-    variable amount of stream, so they cannot be drawn in blocks.
-    """
-    streams = rng.streams
-    rows = np.ravel(hierarchy.flat_index(state.log_weights.shape, state.draw(rng)))
-    num_arms = state.alphas.shape[-1]
-    alphas = state.alphas.reshape(-1, num_arms)[rows].tolist()
-    betas = state.betas.reshape(-1, num_arms)[rows].tolist()
-    theta = [stream.beta_row(a, b) for stream, a, b in zip(streams, alphas, betas)]
-    return np.argmax(np.reshape(theta, state.alphas.shape[:-2] + (num_arms,)), axis=-1)
+
+def mixture_ts_select(state, rng):
+    """Sample a component, then arm means from its Beta posteriors
+    (MixtureTaskState.sample), and play the greedy arm of each row of the
+    leading shape of `state`; ties to the lowest index."""
+    return np.argmax(state.sample(rng), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +796,8 @@ class MixtureFamilyAgent(_FamilyAgent):
     component per task; ``oracle-ts`` pins the true component and
     ``misassigned-ts`` pins a wrong one; ``ts`` plays as ada-ts but never
     updates its component posterior, so every task starts from the prior
-    weights.  Only the agent's draws are made run by run, from each run's
-    own stream in the order it would use alone.  Every kind's `scale` must
-    be 1: a mixture meta-prior has no width to rescale.
+    weights.  Every kind's `scale` must be 1: a mixture meta-prior has no
+    width to rescale.
     """
 
     def act(self, t):

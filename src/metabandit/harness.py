@@ -12,16 +12,17 @@ plays in one block of (agent, run) rows, one m * n loop, each row with its
 own policy and meta-prior width.  Agents that play all tasks at once
 (agents.plays_tasks_at_once: Gaussian ts and oracle-ts) each play a block
 of their own, with the leading shape (m, rows), in n lockstep rounds
-instead of m * n.  Streams whose draws have a fixed size are drawn in
+instead of m * n.  Every draw has a fixed size, so streams are drawn in
 blocks (gauss_core.RunStreams), each row refilling its own: one block of n
 rounds for all tasks at once, and otherwise a refill every max(n,
 MIN_BLOCK) draws of the row, so that short tasks played one after another
-share a refill.  Rows of a block draw unequally (only meta-ts rows draw at
-task start, and ada-ts-forced rows draw nothing in opening rounds), so a
-draw may take only some rows, and advances only their streams.  A
-Bernoulli-mixture agent's own stream is drawn run by run instead, because
-its Beta draws consume a variable amount of stream.  Next to the regret, a
-RegretTrace keeps every agent's final meta-posterior.
+share a refill.  A Bernoulli-mixture agent's draw is tens of uniforms
+(agents.mixture_draw_size), so its own stream refills every
+MIXTURE_REFILL uniforms of the row instead.  Rows of a block draw unequally
+(only meta-ts rows draw at task start, and ada-ts-forced rows draw nothing
+in opening rounds), so a draw may take only some rows, and advances only
+their streams.  Next to the regret, a RegretTrace keeps every agent's final
+meta-posterior.
 
 Each (agent, run) row faces its run's world (linear action set,
 meta-parameter, task sequence), sampled from the run's own task stream,
@@ -47,6 +48,10 @@ from .gauss_core import SEED_BOUND, RngStream, RunStreams
 # makes in one refill (see gauss_core.RunStreams): short tasks then share a
 # refill instead of making one each.
 MIN_BLOCK = 256
+# Uniforms per row that a mixture agent's stream makes in one refill: the
+# refill is sized in uniforms, not draws, so that 250 rows hold about 1 MiB
+# (20 draws of 25 uniforms at 3 arms).
+MIXTURE_REFILL = 2 * MIN_BLOCK
 
 
 class EmptyTrace(Exception):
@@ -184,6 +189,9 @@ def _run_agent(config, rows, sampled):
         streams = [stream(config.seed, purpose, k.label, run) for k, run in rows]
         if at_once:
             return RunStreams(streams, block=config.n, tasks=config.m)
+        if purpose == "agent" and spec.family == hierarchy.BERNOULLI_MIXTURE:
+            size = agents_mod.mixture_draw_size(spec.num_arms)
+            return RunStreams(streams, block=max(1, MIXTURE_REFILL // size))
         return RunStreams(streams, block=max(config.n, MIN_BLOCK))
 
     instant = np.zeros((len(rows), config.m, config.n))

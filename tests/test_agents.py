@@ -3,9 +3,11 @@
 import math
 import re
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
-from scipy.special import betaln
+from scipy import stats
+from scipy.special import betaln, expit
 
 from metabandit import agents, hierarchy
 from metabandit.gauss_core import RngStream, RunStreams, cholesky, spd_inverse, solve_spd
@@ -882,13 +884,43 @@ def test_mixture_select_degenerate_weights_use_single_component():
 
 
 def test_mixture_select_symmetric_even_split():
+    """100,000 picks in one call on a state of as many rows, from one
+    stream: a draw has a fixed size, so its first rows are what one-row
+    calls pick in turn."""
     spec = hierarchy.mixture_env(2, alphas=[[2, 2], [2, 2]], betas=[[2, 2], [2, 2]])
     state = agents.MixtureTaskState(
-        np.log([0.5, 0.5]), spec.mixture_alphas, spec.mixture_betas
+        np.log(np.full((100_000, 2), 0.5)), spec.mixture_alphas, spec.mixture_betas
     )
+    picks = agents.mixture_ts_select(state, RngStream(7))
+    one = agents.MixtureTaskState(np.log([0.5, 0.5]), spec.mixture_alphas, spec.mixture_betas)
     rng = RngStream(7)
-    picks = np.array([agents.mixture_ts_select(state, rng) for _ in range(100_000)])
+    assert picks[:5].tolist() == [agents.mixture_ts_select(one, rng) for _ in range(5)]
     assert abs(picks.mean() - 0.5) < 0.01
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.3, 0.7), (1, 1), (9, 1), (1, 9), (50, 3),
+                                        (1e6, 2e6)])
+def test_mixture_sample_draws_beta_means(alpha, beta):
+    """Each arm's sampled mean, mapped back from its log-odds, is
+    Beta(alpha, beta): a Kolmogorov-Smirnov test against scipy's Beta, at a
+    fixed seed, over 20,000 one-row draws made as one call."""
+    state = agents.MixtureTaskState(np.zeros((20_000, 1)), [[alpha]], [[beta]])
+    log_odds = state.sample(RngStream(31, 2))[:, 0]
+    assert np.all(np.isfinite(log_odds))
+    assert stats.kstest(expit(log_odds), stats.beta(alpha, beta).cdf).pvalue > 0.01
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-300, 300), st.floats(-300, 300), st.integers(0, 2**32))
+def test_mixture_sample_is_finite_at_every_shape(log_alpha, log_beta, seed):
+    """Beta parameters from 1e-300 to 1e300 give finite log-odds, with no
+    floating-point error of any kind, so a mean in [0, 1]."""
+    state = agents.MixtureTaskState(np.zeros((64, 1)), [[10.0**log_alpha]], [[10.0**log_beta]])
+    with np.errstate(all="raise"):
+        log_odds = state.sample(RngStream(seed))
+    assert np.all(np.isfinite(log_odds))
+    means = expit(log_odds)
+    assert np.all((means >= 0.0) & (means <= 1.0))
 
 
 def test_true_component_weight_grows_with_task_length():

@@ -21,7 +21,7 @@ BENCH_CSV_DIGESTS = {
     "gaussian-panel": "b5e1222c3fb530d5e3470cac8c0487d668b9e0c533b183de0cd6c4018c1c3db5",
     "linear-panel": "4e9311db7dd46a0ba31eae059fd36b7cbd161b3462590eb53e855ad901ef5be3",
     "linear-many-tasks": "9f61ddd6b5d06afd99f01b79c074fd9dae98d45c8be3cfb1512c4643290a3a33",
-    "mixture-panel": "fc1884b9e4d42164bdaf79c331aa4f18e1ffb348e5e26f4303f98a708cc25523",
+    "mixture-panel": "f6e3ce003f73b6a135102e0fabea0dfb1df431f287b66e3d0784a617d7247dbd",
 }
 
 

@@ -344,6 +344,19 @@ def test_mixture_whose_alpha_plus_beta_overflows_exits_2(tmp_path, capsys, mixtu
     assert out.exists() == (code == 0)
 
 
+@pytest.mark.parametrize("mixture", ["1e-300:1;1:1e-300", "1e-3:1;1:1e-3"])
+def test_mixture_with_tiny_beta_parameters_runs(tmp_path, capsys, mixture):
+    """Beta parameters far below 1 make Gamma variates below any float: the
+    agents' draws stay finite, as log-odds."""
+    out = tmp_path / "mix.csv"
+    argv = ["run", "--env", "bernoulli-mixture", "--arms", "3", "--mixture", mixture,
+            "--tasks", "3", "--rounds", "20", "--runs", "4",
+            "--agents", "ts,oracle-ts,meta-ts,ada-ts,misassigned-ts", "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert out.exists()
+
+
 # Every agent each family accepts.
 GAUSSIAN_AGENTS = "ts,oracle-ts,meta-ts,ada-ts,ada-ts+,ada-ts-,ada-ts-forced"
 FAMILY_AGENTS = {"gaussian": GAUSSIAN_AGENTS, "linear": GAUSSIAN_AGENTS,
@@ -624,7 +637,7 @@ RUN_CSV_DIGESTS = {
         "7508b64036bac2f89e6d1ef978c4bd4cedbf579655dced14d4014049328f07ac",
     ("bernoulli-mixture", "ts,oracle-ts,meta-ts,ada-ts,misassigned-ts",
      "--arms", "3", "--mixture", "9:1;1:9"):
-        "2acea8072171598d95f5b010c6128b6be72455a1438e00934543cb9bb61f39ad",
+        "38c5f660edcf8f87ede4873d091e8d1ed27a26c956fe07a018167f3a163f20c6",
 }
 
 
@@ -650,7 +663,7 @@ SWEEP_DIGESTS = {
         "8828c4424ebe5ff5909bd92ad1cf71977e50fa701cb9668fc4d7b0598dbe5a05"),
     ("bernoulli-mixture", "--arms", "2,3", "--mixture", "9:1;1:9"): (
         ["bernoulli-mixture_K2.csv", "bernoulli-mixture_K3.csv"],
-        "96a19aaa92149821409a27cea31007bd0fa09eaf86735b08543fadd7dc412763"),
+        "b102d218ed5c78bafab913a4ccd48ef4ab165c06c4b2f3263fe13970a722788f"),
 }
 
 

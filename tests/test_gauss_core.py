@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import special, stats
 
 from metabandit import gauss_core as gc
 
@@ -257,6 +258,18 @@ def test_run_streams_refuse_a_new_shape_while_draws_are_pending():
     assert streams.standard_normal(3).shape == (2, 3)  # block used up: any shape
 
 
+def test_run_streams_take_an_int_size_and_its_tuple_as_one_shape():
+    """2 and (2,) are one shape, in either order, mid-block; a new shape
+    is still refused."""
+    streams = gc.RunStreams([gc.RngStream(7, 0), gc.RngStream(7, 1)], block=3)
+    solo = gc.RngStream(7, 1)
+    drawn = [streams.standard_normal((2,)), streams.standard_normal(2),
+             streams.standard_normal((2,)), streams.standard_normal(2)]
+    assert np.array_equal([draw[1] for draw in drawn], [solo.standard_normal(2) for _ in drawn])
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        streams.standard_normal(3)
+
+
 def test_run_streams_block_draw_uniforms_as_each_run_would_alone():
     ids = [4, 9, 1]
     streams = gc.RunStreams([gc.RngStream(7, i) for i in ids], block=5)
@@ -377,6 +390,72 @@ def test_beta_row_draws_the_bits_of_one_array_call():
         for _ in range(4):
             assert np.array_equal(rows.beta_row(alphas, betas), whole.gen.beta(alphas, betas))
         assert rows.random() == whole.random()
+
+
+# ---------------------------------------------------------------------------
+# log_gamma
+# ---------------------------------------------------------------------------
+
+
+def test_stream_spill_is_its_keys_generator_jumped():
+    """A stream's spill generator is built from its key alone, 2**128 draws
+    ahead, and leaves `gen` where it was."""
+    stream, fresh = gc.RngStream(4, 5), gc.RngStream(4, 5)
+    stream.random(3)
+    jumped = np.random.Generator(np.random.Philox(key=[4, 5]).jumped())
+    assert np.array_equal(stream.spill.standard_gamma([2.0, 0.5]), jumped.standard_gamma([2.0, 0.5]))
+    assert stream.spill is stream.spill
+    fresh.random(3)
+    assert stream.random() == fresh.random()
+
+
+def _rejecting(shapes):
+    """Uniforms under which every Marsaglia-Tsang candidate of `shapes`
+    rejects: an accept uniform of 0 gives log U = 0, never below z**2 g."""
+    u = np.full(np.shape(shapes) + (gc.GAMMA_UNIFORMS,), 0.3)
+    k = gc.GAMMA_CANDIDATES
+    u[..., 2 * k:3 * k] = 0.0
+    return u
+
+
+def test_rejected_gamma_candidates_draw_from_their_rows_own_spill():
+    """An entry whose candidates all reject draws from its own row's spill
+    generator, in entry order, with the boost of a shape below 1; a row
+    gives the same values in any block, with any other rows, or alone."""
+    ids = [7, 8, 9]
+    shapes = np.array([[2.0, 0.4], [9.0, 1.0], [3.0, 5.0]])
+    u = _rejecting(shapes)
+    block = gc.log_gamma(shapes, u, gc.RunStreams([gc.RngStream(4, i) for i in ids], block=3))
+    for row, stream_id in enumerate(ids):
+        spill = np.random.Generator(np.random.Philox(key=[4, stream_id]).jumped())
+        boosted = shapes[row] + (shapes[row] < 1)
+        expected = np.log(spill.standard_gamma(boosted))
+        expected += np.where(shapes[row] < 1, np.log1p(-0.3) / shapes[row], 0.0)
+        assert block[row].tobytes() == expected.tobytes()
+        alone = gc.log_gamma(shapes[row], u[row], gc.RngStream(4, stream_id))
+        assert alone.tobytes() == block[row].tobytes()
+    other = gc.RunStreams([gc.RngStream(4, i) for i in (9, 5, 7)], block=11).rows([2, 0])
+    pair = gc.log_gamma(shapes[[0, 2]], u[[0, 2]], other)
+    assert pair.tobytes() == block[[0, 2]].tobytes()
+
+
+def test_spill_draws_of_a_stacked_call_follow_the_rows_in_turn():
+    """Rows beyond rng's leading shape share its one spill generator in row
+    order, as one-row calls made in turn would use it."""
+    shapes = np.array([[2.0, 0.4], [9.0, 1.0]])
+    u = _rejecting(shapes)
+    stacked = gc.log_gamma(shapes, u, gc.RngStream(4, 1))
+    rng = gc.RngStream(4, 1)
+    assert stacked.tobytes() == np.stack([gc.log_gamma(s, v, rng) for s, v in zip(shapes, u)]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [0.05, 0.3, 1.0, 2.5, 9.0, 1e8])
+def test_log_gamma_draws_gamma_variates(shape):
+    """exp(log_gamma) is Gamma(shape): a Kolmogorov-Smirnov test against the
+    Gamma CDF (the regularized incomplete gamma function), at a fixed seed."""
+    rng = gc.RngStream(12, 3)
+    draws = np.exp(gc.log_gamma(np.full(20_000, shape), rng.random((20_000, gc.GAMMA_UNIFORMS)), rng))
+    assert stats.kstest(draws, lambda x: special.gammainc(shape, x)).pvalue > 0.01
 
 
 def test_mvn_sample_stack_matches_each_run():

@@ -169,8 +169,8 @@ ENGINE_DIGESTS = {
     ("linear-collinear-actions", False): "8b37f18181a601c6581b0aa6ed8406c20484bb2aecc422a0c303faf0b1f39f1c",
     ("linear-jitter", True): "cf99de25962165aebb0f4b5a6423599a191721bae035ff5d2352f2185fa2b2ea",
     ("linear-jitter", False): "b6305ed8877eb1f0f0b3ddc01718d72aab60f6f19fb76ec4a29dd326b55c06ce",
-    ("mixture", True): "cd9dc7aa8e85085b327db29e53b72f4c590e3c80ebbd6a1aade1620c28de5d94",
-    ("mixture", False): "99019ad1ceaaadc59470c1cde78df1e797870157a89cc78e08fe13261286f8f8",
+    ("mixture", True): "c3969cba6504927b7d8448a0dc167e1c424168ba21bc6a26e4b3372328da8ea7",
+    ("mixture", False): "aafe671db8a0e1d2d1a88ec57b561fd1328a183bec1d567b639f259d132fe702",
 }
 
 
@@ -190,6 +190,26 @@ def test_engine_reproduces_pinned_traces(name, common_tasks):
     for key in sorted(trace.task_hashes):
         h.update(f"{key}={trace.task_hashes[key]}".encode())
     assert h.hexdigest() == ENGINE_DIGESTS[(name, common_tasks)]
+
+
+# sha256 over the sorted task hashes alone of ENGINE_SPECS["mixture"] at the
+# sizes of test_engine_reproduces_pinned_traces: mixture worlds are sampled by
+# RngStream.beta_row, and the agents' Beta draws do not touch them
+MIXTURE_TASK_DIGESTS = {
+    True: "16a0e424d5979751ca209c81ae18254897e7bf3281fbb5e168ebe97b903060d2",
+    False: "26707c80f3ab698ac9892c2e7814fdaa71b878126c1d6c1ef6ae621c401a47f8",
+}
+
+
+@pytest.mark.parametrize("common_tasks", [True, False])
+def test_mixture_worlds_keep_their_pinned_task_hashes(common_tasks):
+    config = small_config(agent_names=MIXTURE_KINDS, spec=ENGINE_SPECS["mixture"](), runs=3,
+                          m=5, n=12, common_tasks=common_tasks)
+    trace = harness.run_experiment(config)
+    h = hashlib.sha256()
+    for key in sorted(trace.task_hashes):
+        h.update(f"{key}={trace.task_hashes[key]}".encode())
+    assert h.hexdigest() == MIXTURE_TASK_DIGESTS[common_tasks]
 
 
 def _replay_run(config, kind, run):
@@ -287,12 +307,14 @@ def test_final_meta_is_each_runs_meta_after_its_last_task(family):
 def test_traces_do_not_depend_on_the_refill_size(monkeypatch, family):
     """Streams refilled at every task, once per run, or every MIN_BLOCK
     draws give every row the same draws: the same traces, task hashes and
-    final meta-posteriors."""
+    final meta-posteriors.  A mixture agent's own stream refills every
+    MIXTURE_REFILL uniforms, here every 1, 3 or 20 draws."""
     names = MIXTURE_KINDS if family == "mixture" else GAUSSIAN_KINDS
     config = small_config(agent_names=names, spec=FAMILY_SPECS[family](), runs=3, m=5, n=7)
     traces = []
     for floor in (1, config.m * config.n + 3, harness.MIN_BLOCK):
         monkeypatch.setattr(harness, "MIN_BLOCK", floor)
+        monkeypatch.setattr(harness, "MIXTURE_REFILL", 2 * floor)
         traces.append(harness.run_experiment(config))
     first = traces[0]
     for trace in traces[1:]:
@@ -309,7 +331,8 @@ def test_traces_do_not_depend_on_the_refill_size(monkeypatch, family):
 def test_only_streams_with_a_task_axis_refill_per_task(monkeypatch, family, n):
     """Agents that play all tasks at once draw one task's rounds per block,
     for every task at once; any other agent's streams refill every
-    max(n, 256) draws or more."""
+    max(n, 256) draws or more, except a mixture agent's own stream, which
+    refills every MIXTURE_REFILL uniforms."""
     built = []
 
     class Recorded(harness.RunStreams):
@@ -328,11 +351,14 @@ def test_only_streams_with_a_task_axis_refill_per_task(monkeypatch, family, n):
     # tasks at once
     assert len(built) == 2 * (1 + at_once)
     assert sum(len(streams.lead) == 2 for streams in built) == 2 * at_once
+    mixture_agent = []
     for streams in built:
         if len(streams.lead) == 2:
             assert (streams.block, streams.lead) == (n, (config.m, config.runs))
-        else:
-            assert streams.block >= max(n, 256)
+        elif streams.block < max(n, 256):
+            mixture_agent.append(streams.block)
+    # a mixture draw is 25 uniforms at 3 arms
+    assert mixture_agent == ([harness.MIXTURE_REFILL // 25] if family == "mixture" else [])
 
 
 @pytest.mark.parametrize("family", ["gaussian", "semibandit", "linear"])
