@@ -30,21 +30,18 @@ Gaussian beliefs a parameter, the mixture each arm's mean as its log-odds.
 The state of every family (posteriors, meta-posteriors, sufficient
 statistics) has a leading shape `lead`: (rows,) for many rows in lockstep,
 and () for one run, which is the same code on a stack of one run.  A row is
-one run of one policy, and rows of different policies play as one agent:
-each row has its own kind, and so its own policy and meta-prior width.  The
-agent builds each row's task prior by its policy's rule on that rule's rows
-(`select_rows`) and joins them row-wise (`join_rows`), and folds only the
-rows that learn, so a row does only the work it would do alone.  Policies
-that neither learn between tasks nor draw at task start
-(`plays_tasks_at_once`) play all m tasks of a run at once, with the leading
-shape (m, rows); per-row data broadcasts against either shape from the
-right.  Each row still draws from its own stream, in blocks
-(gauss_core.RunStreams): normals for the Gaussian families, and for the
-mixture a fixed number of uniforms per draw, from which each Beta variate
-is made as a ratio of Gamma variates (gauss_core.log_gamma).  A draw that
-only some rows make (a meta-ts row's draw at task start, the rows that
-sample while ada-ts-forced rows play their opening actions) takes those
-rows of the streams (`rng.rows`).
+one run of one policy, and rows of different policies play as one agent,
+task after task: each row has its own kind, and so its own policy and
+meta-prior width.  The agent builds each row's task prior by its policy's
+rule on that rule's rows (`select_rows`) and joins them row-wise
+(`join_rows`), and folds only the rows that learn, in place, so a row does
+only the work it would do alone.  Each row draws from its own stream, in
+blocks (gauss_core.RunStreams): normals for the Gaussian families, and for
+the mixture a fixed number of uniforms per draw, from which each Beta
+variate is made as a ratio of Gamma variates (gauss_core.log_gamma).  A
+draw that only some rows make (a meta-ts row's draw at task start, the
+rows that sample while ada-ts-forced rows play their opening actions) takes
+those rows of the streams (`rng.rows`).
 """
 
 from dataclasses import dataclass
@@ -120,15 +117,6 @@ def require_family(kind, family):
         raise UnknownAgent(f"agent {kind.label!r} is not defined for the {family} family")
 
 
-def plays_tasks_at_once(kind, family):
-    """Whether all m tasks of a run can be played at once, along a leading
-    task axis.  Gaussian-family ts and oracle-ts neither learn between tasks
-    nor draw at task start, so every task starts from the same
-    state and its draws follow the previous task's in the run's streams.
-    Mixture agents play their tasks one after another."""
-    return kind.base in (AGNOSTIC_TS, ORACLE_TS) and family != hierarchy.BERNOULLI_MIXTURE
-
-
 # ---------------------------------------------------------------------------
 # Meta-posteriors: the meta-prior, and the Gaussian updates between tasks
 # ---------------------------------------------------------------------------
@@ -141,7 +129,7 @@ def initial_meta_posterior(spec, lead=(), scale=1.0):
     prior's.
 
     `scale` rescales a Gaussian meta-prior's width (its covariance by
-    scale * scale), by one factor or by one per row of lead's last axis.
+    scale * scale), by one factor or by one per row.
     It models an agent whose believed meta-prior is too wide (scale > 1) or
     too narrow (scale < 1); the environment itself is unchanged.
     """
@@ -364,7 +352,7 @@ def join_rows(parts):
     """One belief from (index, part) pairs whose indices partition its rows:
     row index[j] of the result is row j of that part."""
     first = parts[0][1]
-    count = sum(len(index) for index, _ in parts)
+    count = sum(len(getattr(part, first.__slots__[0])) for _, part in parts)
     out = object.__new__(type(first))
     for name in first.__slots__:
         kept = getattr(first, name)
@@ -405,9 +393,7 @@ def ts_select(posterior, actions, rng):
     ``actions`` is the arm count (int), the feature matrix (linear, with a
     leading row axis when each row has its own), or a (num_arms, budget) pair
     (semibandit).  Ties go to the lowest index.  Per row of the posterior's
-    leading shape, the action is an index or a sorted int array of arms; a
-    per-row feature matrix broadcasts against that shape from the right, so
-    it serves every task of its row when the shape is (m, rows).
+    leading shape, the action is an index or a sorted int array of arms.
     """
     theta = posterior.sample(rng)
     if isinstance(actions, tuple):
@@ -594,8 +580,10 @@ class MixtureTaskState:
         alphas, betas = hierarchy.flat_view(self.alphas), hierarchy.flat_view(self.betas)
         a, b = alphas[at], betas[at]
         hit = outcome[..., None]
+        # a difference of logs: the ratio can round to 0 where its log
+        # cannot, as for a = 5e-324 and a + b >= 2
         self.log_weights = _normalize_log_weights(
-            self.log_weights + np.log(np.where(hit, a, b) / (a + b))
+            self.log_weights + (np.log(np.where(hit, a, b)) - np.log(a + b))
         )
         alphas[at] = a + hit
         betas[at] = b + (1.0 - hit)
@@ -663,15 +651,13 @@ class _FamilyAgent:
     """The state of one or more policies across a run of tasks, for every
     reward family.
 
-    The agent plays the rows of `rng` in lockstep with the leading shape
-    `lead` = `rng.lead`: (R,) for a RunStreams of R rows, (m, R) for one
-    with a task axis, whose tasks are all played at once (see
-    `plays_tasks_at_once`), and () for an RngStream.  `kinds` is one
-    AgentKind for every row, or one per row of lead's last axis: a row is
-    one run of one policy, and rows of different policies play as one
-    agent.  Each row's meta-prior width is its kind's `scale`.  All state
-    has the leading shape; so has each action of `act`: an arm or a linear
-    index into the row's action set, or a sorted int array of arms.
+    The agent plays the rows of `rng` in lockstep, task after task, with
+    the leading shape `lead` = `rng.lead`: (R,) for a RunStreams of R rows,
+    and () for an RngStream.  `kinds` is one AgentKind for every row, or one
+    per row: a row is one run of one policy, and rows of different policies
+    play as one agent.  Each row's meta-prior width is its kind's `scale`.
+    All state has the leading shape; so has each action of `act`: an arm or
+    a linear index into the row's action set, or a sorted int array of arms.
     `mu_star` (R, P), or each run's mixture component, and a linear action
     set, shared or one (K, d) per row, broadcast against lead from the
     right.  `observe` takes an action and its reward, or the array of its
@@ -687,13 +673,14 @@ class _FamilyAgent:
     action set that cannot span R^d raises ValueError there.  In an opening
     round its rows play them while the other rows sample.  A linear
     `observe` turns an action index into its feature vector first, and
-    `end_task` folds the task into the meta-posterior of the learning rows
-    with end_task_linear, mixture_update or end_task_gaussian, by family.
+    `end_task` folds the task into the meta-posterior of the learning rows,
+    in place, with end_task_linear, mixture_update or end_task_gaussian, by
+    family.
     """
 
     def __init__(self, kinds, spec, rng, mu_star=None):
         self.kinds = (kinds,) if isinstance(kinds, AgentKind) else tuple(kinds)
-        if len(self.kinds) != 1 and rng.lead[-1:] != (len(self.kinds),):
+        if len(self.kinds) != 1 and rng.lead != (len(self.kinds),):
             raise ValueError(f"{len(self.kinds)} agent kinds for the leading shape {rng.lead}")
         for kind in dict.fromkeys(self.kinds):
             require_family(kind, spec.family)
@@ -710,7 +697,6 @@ class _FamilyAgent:
         self._starts = [(AgentKind(rule), self._rows_where(lambda k, rule=rule: _rule(k) == rule))
                         for rule in dict.fromkeys(map(_rule, self.kinds))]
         self._learn = self._rows_where(lambda k: k.base in _LEARNING)
-        self._keep = self._rows_where(lambda k: k.base not in _LEARNING)
         self._forced = self._rows_where(lambda k: k.base == ADA_TS_FORCED)
         self._free = self._rows_where(lambda k: k.base != ADA_TS_FORCED)
         self._opening = []
@@ -726,16 +712,17 @@ class _FamilyAgent:
     def _rows_where(self, test):
         """The rows whose kind passes `test` as (rows, spec, rng, mu_star):
         for every row, slice(None) and the agent's own spec, rng and
-        mu_star; for some, their indices and their part of each; for none,
-        None.  Rows of different kinds lie along a leading shape (R,)."""
+        mu_star; for some, their indices (a slice when they are contiguous,
+        so that `select_rows` gives views) and their part of each; for
+        none, None."""
         passed = [test(kind) for kind in self.kinds]
         if all(passed):
             return slice(None), self.spec, self.rng, self.mu_star
         if not any(passed):
             return None
-        if len(self.lead) != 1:
-            raise ValueError(f"rows of different policies with the leading shape {self.lead}")
         rows = np.flatnonzero(passed)
+        if rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(rows[0], rows[-1] + 1)
         spec = self.spec
         if self._linear and spec.actions.ndim == 3:
             spec = spec.with_actions(spec.actions[rows])
@@ -777,10 +764,8 @@ class _FamilyAgent:
             meta = mixture_update(meta, summary)
         else:
             meta = (end_task_linear if self._linear else end_task_gaussian)(meta, summary, self.spec)
-        if self._keep is not None:
-            keep = self._keep[0]
-            meta = join_rows([(rows, meta), (keep, select_rows(self.meta, keep))])
-        self.meta = meta
+        for name in meta.__slots__:
+            getattr(self.meta, name)[rows] = getattr(meta, name)
 
 
 class GaussianFamilyAgent(_FamilyAgent):

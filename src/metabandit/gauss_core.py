@@ -8,7 +8,6 @@ point-mass priors, still factor.
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -167,7 +166,7 @@ def log_gamma(shape, u, rng):
     log_x = np.log(d) + chosen
     missed = np.flatnonzero(~np.any(accept, axis=-1))
     if missed.size:
-        owner = missed // (shape.size // math.prod(rng.lead)) % len(rng.streams)
+        owner = missed // (shape.size // len(rng.streams))
         spills = [rng.streams[row].spill for row in owner.tolist()]
         drawn = [spill.standard_gamma(a) for spill, a in zip(spills, boosted[missed].tolist())]
         log_x[missed] = np.log(drawn)
@@ -255,40 +254,35 @@ class RunStreams:
 
     `standard_normal(size)` and `random(size)` return one draw of shape
     `size` per row, stacked as lead + size in a C-contiguous float64 array of
-    its own.  The leading shape `lead` of state played from it is (rows,),
-    or (tasks, rows) with a task axis.  A row is one run of one agent; a
-    block of agents that play together has one row per (agent, run).
-    `rows(index)` is a view of some of the rows (a boolean mask or integer
-    indices) that draws as a RunStreams of its own: its draws advance only
-    its rows.
+    its own.  The leading shape `lead` of state played from it is (rows,).
+    A row is one run of one agent; a block of agents that play together has
+    one row per (agent, run).  `rows(index)` is a view of some of the rows
+    (a boolean mask, integer indices or a slice) that draws as a RunStreams
+    of its own: its draws advance only its rows.
 
     The draws come from blocks, and each row keeps its own count of the
     draws it has used.  When a row's block runs out, that row's stream
-    makes `block` draws (`tasks` * `block` with a task axis) in one call,
-    written in place into its row of one (rows, *tasks, block, *size)
-    array.  A block draw consumes a stream exactly as the same draws made
-    one by one, so every row sees the numbers it would see alone, however
-    the block boundaries fall and whichever rows each draw takes, as long as
-    all draws from one stream have one kind and shape.  `block` is then
-    only the number of draws per refill, free of the task length, except
-    with a task axis: there the draw of (task s, row, i-th call) is the
-    stream's draw number (s - 1) * block + i, the tasks of a run that draws
-    `block` times per task and nothing in between, played at once.  A
-    request of another kind or shape while any row's block still holds
-    draws would reorder the streams and raises ValueError.  A draw whose
-    consumption varies cannot be blocked: a Beta variate is therefore made
-    from a fixed number of uniforms (log_gamma), and only the rare variate
-    that they do not settle is drawn from its row's own `spill` generator.
+    makes `block` draws in one call, written in place into its row of one
+    (rows, block, *size) array.  A block draw consumes a stream exactly as
+    the same draws made one by one, so every row sees the numbers it would
+    see alone, however the block boundaries fall and whichever rows each
+    draw takes, as long as all draws from one stream have one kind and
+    shape.  `block` is then only the number of draws per refill, free of
+    the task length.  A request of another kind or shape while any row's
+    block still holds draws would reorder the streams and raises
+    ValueError.  A draw whose consumption varies cannot be blocked: a Beta
+    variate is therefore made from a fixed number of uniforms (log_gamma),
+    and only the rare variate that they do not settle is drawn from its
+    row's own `spill` generator.
     """
 
-    def __init__(self, streams, block, tasks=None):
+    def __init__(self, streams, block):
         self.streams = tuple(streams)
-        self.lead = (() if tasks is None else (int(tasks),)) + (len(self.streams),)
+        self.lead = (len(self.streams),)
         self.block = int(block)
-        # flat offset of each (task, row) block in the (rows, *tasks, block)
-        # layout, and of each row's next draw: every row starts used up
-        rows_first = np.arange(math.prod(self.lead)).reshape(self.lead[::-1]).T
-        self._start = np.ascontiguousarray(rows_first) * self.block
+        # flat offset of each row's block in the (rows, block) layout, and
+        # of each row's next draw: every row starts used up
+        self._start = np.arange(len(self.streams)) * self.block
         self._at = self._start + self.block
         self._left = 0  # draws of every row before some row refills
         self._drawn = self._flat = None
@@ -300,7 +294,7 @@ class RunStreams:
 
     def _used(self):
         """Draws each row has used of its block."""
-        return (self._at - self._start).reshape(-1, len(self.streams))[0]
+        return self._at - self._start
 
     def _draw(self, method, size, rows=None):
         if (method, size) != self._pending:
@@ -313,7 +307,7 @@ class RunStreams:
                         f"{method} draw of shape {shape} while {self._kind[0]} draws "
                         f"of shape {self._kind[1]} are pending"
                     )
-                self._drawn = np.empty((len(self.streams), *self.lead[:-1], self.block, *shape))
+                self._drawn = np.empty((len(self.streams), self.block, *shape))
                 self._flat = self._drawn.reshape((-1, *shape))
                 self._kind = (method, shape)
             self._pending = (method, size)
@@ -327,15 +321,15 @@ class RunStreams:
             return out
         used = self._used()[rows]
         self._refill(method, rows[used == self.block])
-        at = self._at[..., rows]
-        self._at[..., rows] = at + 1
+        at = self._at[rows]
+        self._at[rows] = at + 1
         self._left = self.block - int(self._used().max())
         return self._flat.take(at, axis=0)
 
     def _refill(self, method, rows):
         for row in rows:
             getattr(self.streams[row].gen, method)(out=self._drawn[row])
-            self._at[..., row] = self._start[..., row]
+            self._at[row] = self._start[row]
 
     def standard_normal(self, size=None):
         return self._draw("standard_normal", size)
@@ -351,7 +345,7 @@ class _RowStreams:
     def __init__(self, of, index):
         self._of, self._index = of, index
         self.streams = tuple(of.streams[row] for row in index)
-        self.lead = of.lead[:-1] + (len(index),)
+        self.lead = (len(index),)
 
     def rows(self, index):
         return _RowStreams(self._of, self._index[index])

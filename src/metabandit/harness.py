@@ -2,21 +2,16 @@
 
 Every (agent, run) pair draws from its own random streams, derived from
 (seed, purpose, agent label, run index), so its output does not depend on
-which other runs or agents are simulated beside it.  Every agent plays all
-runs of an experiment in lockstep: its state carries a leading shape `lead`
-of rows, and one round of every row is a few array operations (see
-agents.GaussianFamilyAgent and agents.MixtureFamilyAgent), while each row
-still consumes its own streams exactly as it would alone.  A row is one
-(agent, run) pair, and every agent that plays its tasks one after another
-plays in one block of (agent, run) rows, one m * n loop, each row with its
-own policy and meta-prior width.  Agents that play all tasks at once
-(agents.plays_tasks_at_once: Gaussian ts and oracle-ts) each play a block
-of their own, with the leading shape (m, rows), in n lockstep rounds
-instead of m * n.  Every draw has a fixed size, so streams are drawn in
-blocks (gauss_core.RunStreams), each row refilling its own: one block of n
-rounds for all tasks at once, and otherwise a refill every max(n,
-MIN_BLOCK) draws of the row, so that short tasks played one after another
-share a refill.  A Bernoulli-mixture agent's draw is tens of uniforms
+which other runs or agents are simulated beside it.  An experiment plays
+as one block: one agent over every (agent, run) row in config order, in one
+m * n loop, its state carrying a leading shape `lead` = (rows,), so that
+one round of every row is a few array operations (see
+agents.GaussianFamilyAgent and agents.MixtureFamilyAgent), each row with
+its own policy and meta-prior width, while each row still consumes its own
+streams exactly as it would alone.  Every draw has a fixed size, so streams
+are drawn in blocks (gauss_core.RunStreams), each row refilling its own
+every max(n, MIN_BLOCK) draws, so that short tasks share a refill.  A
+Bernoulli-mixture agent's draw is tens of uniforms
 (agents.mixture_draw_size), so its own stream refills every
 MIXTURE_REFILL uniforms of the row instead.  Rows of a block draw unequally
 (only meta-ts rows draw at task start, and ada-ts-forced rows draw nothing
@@ -27,11 +22,11 @@ meta-posterior.
 Each (agent, run) row faces its run's world (linear action set,
 meta-parameter, task sequence), sampled from the run's own task stream,
 its m tasks as one stack.  A block's world comes from its list of rows:
-each task stream's world is sampled once per experiment, and the rows'
-worlds are stacked along the row axis, which for the tasks is the last:
-one (m, rows) stack.  When ``common_tasks`` is set, the task stream drops
-the agent label, so every agent in a run faces the same world, sampled
-once, while still drawing its own reward noise.
+each task stream's world is sampled once, and the rows' worlds are stacked
+along the row axis, which for the tasks is the last: one (m, rows) stack,
+played task by task through its views.  When ``common_tasks`` is set, the
+task stream drops the agent label, so every agent in a run faces the same
+world, sampled once, while still drawing its own reward noise.
 """
 
 from dataclasses import dataclass, field
@@ -171,34 +166,24 @@ def _run_agent(config, rows, sampled):
     (kind, run) in that order, and the agent's final meta-posterior with the
     leading shape (rows,); one agent plays all rows in lockstep, each row
     with its kind's policy and meta-prior width, in the world of those rows
-    (see _sample_world).  Either every kind plays all tasks at once
-    (agents.plays_tasks_at_once), and the agent plays the whole (m, rows)
-    stack of tasks in n rounds, or none does, and it plays task s as the
-    view `tasks[s - 1]`.
+    (see _sample_world), task s as the view `tasks[s - 1]`.
 
     A float overflow or invalid operation fails the rows instead of reaching
-    their regret.  The error names the agents, the runs, the task (1..m for
-    all tasks at once) and the round: a failure in task set-up names round
-    0, and one while the agent is built names task 0.
+    their regret.  The error names the agents, the runs, the task and the
+    round: a failure in task set-up names round 0, and one while the agent
+    is built names task 0.
     """
     spec, mu_star, tasks = _sample_world(config, rows, sampled)
     kinds = [kind for kind, _ in rows]
-    at_once = agents_mod.plays_tasks_at_once(kinds[0], spec.family)
 
     def lockstep(purpose):
         streams = [stream(config.seed, purpose, k.label, run) for k, run in rows]
-        if at_once:
-            return RunStreams(streams, block=config.n, tasks=config.m)
         if purpose == "agent" and spec.family == hierarchy.BERNOULLI_MIXTURE:
             size = agents_mod.mixture_draw_size(spec.num_arms)
             return RunStreams(streams, block=max(1, MIXTURE_REFILL // size))
         return RunStreams(streams, block=max(config.n, MIN_BLOCK))
 
     instant = np.zeros((len(rows), config.m, config.n))
-    if at_once:
-        blocks = [(f"1..{config.m}", tasks, instant.swapaxes(0, 1))]
-    else:
-        blocks = [(s, tasks[s - 1], instant[:, s - 1]) for s in range(1, config.m + 1)]
     if spec.family == hierarchy.BERNOULLI_MIXTURE:
         agent_class = agents_mod.MixtureFamilyAgent
     else:
@@ -208,14 +193,14 @@ def _run_agent(config, rows, sampled):
     try:
         with np.errstate(over="raise", invalid="raise"):
             agent = agent_class(kinds, spec, lockstep("agent"), mu_star)
-            # all tasks at once begin as task 1 does
-            for first, (s, task, regret) in enumerate(blocks, start=1):
+            for s in range(1, config.m + 1):
                 t = 0
-                agent.begin_task(first, config.m)
+                task = tasks[s - 1]
+                agent.begin_task(s, config.m)
                 for t in range(1, config.n + 1):
                     action = agent.act(t)
                     observation = hierarchy.realize_reward(spec, task, action, rewards)
-                    regret[..., t - 1] = hierarchy.instant_regret(spec, task, action)
+                    instant[:, s - 1, t - 1] = hierarchy.instant_regret(spec, task, action)
                     agent.observe(action, observation)
                 agent.end_task()
     except Exception as err:
@@ -225,9 +210,7 @@ def _run_agent(config, rows, sampled):
         raise RuntimeError(
             f"run failed at agent={labels} run={where} task={s} round={t}: {err}"
         ) from err
-    # an agent that plays all tasks at once never updates its meta-posterior,
-    # so every task holds the same one
-    return instant, (agents_mod.select_rows(agent.meta, 0) if at_once else agent.meta)
+    return instant, agent.meta
 
 
 def run_single(config, kind, run):
@@ -241,34 +224,36 @@ def run_single(config, kind, run):
     return instant[0], sampled[_task_key(config, kind, run)][-1]
 
 
-def _blocks(config):
-    """The agents of `config` grouped into blocks that play as one agent, in
-    config order: every agent that plays its tasks one after another in one
-    block, and each agent that plays all tasks at once
-    (agents.plays_tasks_at_once) in a block of its own."""
-    blocks = {}
-    for kind in config.agents:
-        at_once = agents_mod.plays_tasks_at_once(kind, config.spec.family)
-        blocks.setdefault(kind if at_once else None, []).append(kind)
-    return list(blocks.values())
-
-
 def run_experiment(config):
-    """Run every agent over every run, each block of agents (see _blocks)
-    over its (kind, run) rows.  Every run's world is sampled once per task
-    stream: with common tasks, once for all agents."""
-    runs = range(config.runs)
-    sampled, instant, hashes, final_meta = {}, {}, {}, {}
-    for kinds in _blocks(config):
-        rows = [(kind, run) for kind in kinds for run in runs]
+    """Run every agent over every run as one block of (kind, run) rows, in
+    config order.  Every run's world is sampled once per task stream: with
+    common tasks, once for all agents.
+
+    When a block of more than one kind fails, each kind's rows are replayed
+    alone in the same worlds, and the first kind that fails raises its own
+    error, chained to the block's: rows are independent, so it fails where
+    it failed in the block, and the error names only the failing agent.
+    """
+    kinds, runs = config.agents, range(config.runs)
+    rows = [(kind, run) for kind in kinds for run in runs]
+    sampled = {}
+    try:
         block, meta = _run_agent(config, rows, sampled)
-        for i, kind in enumerate(kinds):
-            own = slice(i * config.runs, (i + 1) * config.runs)
-            instant[kind.label] = block[own]
-            final_meta[kind.label] = agents_mod.select_rows(meta, own)
-        hashes.update(((k.label, run), sampled[_task_key(config, k, run)][-1]) for k, run in rows)
-    instant = {kind.label: instant[kind.label] for kind in config.agents}
-    final_meta = {kind.label: final_meta[kind.label] for kind in config.agents}
+    except RuntimeError as err:
+        if len(kinds) == 1:
+            raise
+        for kind in kinds:
+            try:
+                _run_agent(config, [(kind, run) for run in runs], sampled)
+            except RuntimeError as own:
+                raise own from err
+        raise
+    instant, final_meta = {}, {}
+    for i, kind in enumerate(kinds):
+        own = slice(i * config.runs, (i + 1) * config.runs)
+        instant[kind.label] = block[own]
+        final_meta[kind.label] = agents_mod.select_rows(meta, own)
+    hashes = {(k.label, run): sampled[_task_key(config, k, run)][-1] for k, run in rows}
     return RegretTrace(config, instant, hashes, final_meta)
 
 

@@ -208,8 +208,9 @@ class TaskInstance:
     ``means`` holds the mean reward of each arm, or of each row of a linear
     action set, which linear rewards and regret read back.  A stack of tasks
     has a leading shape on every field: (m,) for a run's tasks, (rows,) for
-    one task per row in lockstep, or (m, rows) for all tasks of all rows.
-    Indexing it indexes that shape: `tasks[s - 1]` is task s of every row.
+    one task per row in lockstep, or (m, rows) for all tasks of all rows,
+    which are played task by task: indexing a stack indexes that shape, so
+    `tasks[s - 1]` is task s of every row.
     """
 
     theta: np.ndarray
@@ -296,8 +297,8 @@ def _check_arm(spec, arm):
 def linear_feature(spec, action):
     """Feature vectors of linear actions: an index into the action set, or
     one index per row, gives its row.  With a (rows, K, d) action set,
-    `action` has a leading shape whose last axis is the rows, (rows,) or
-    (m, rows), and each row indexes its own set."""
+    `action` has the leading shape (rows,), and each row indexes its own
+    set."""
     if spec.actions.ndim == 2:
         return spec.actions[action]
     return spec.actions[np.arange(spec.actions.shape[0]), action]
@@ -369,7 +370,7 @@ def realize_reward(spec, task, action, rng):
 
     An action is an arm, an index into the linear action set, or a
     semibandit subset of arms.  For a stack of tasks (see TaskInstance)
-    with the leading shape `rng.lead`, (rows,) or (m, rows), `action` holds
+    with the leading shape `rng.lead` = (rows,), `action` holds
     one action per row, `rng` is a RunStreams, and the result has one reward
     per row: an array of shape lead, or lead + (budget,) in the order of each
     row's sorted subset.  A one-run call (a task without a run axis,

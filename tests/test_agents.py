@@ -221,9 +221,8 @@ def test_agent_takes_one_kind_or_one_per_row():
     rows = RunStreams([RngStream(34, r) for r in range(3)], block=2)
     with pytest.raises(ValueError, match="2 agent kinds"):
         agents.GaussianFamilyAgent([ada, meta], spec, rows)
-    tasks = RunStreams([RngStream(34, r) for r in range(2)], block=2, tasks=4)
-    with pytest.raises(ValueError, match="different policies"):
-        agents.GaussianFamilyAgent([ada, meta], spec, tasks)
+    with pytest.raises(ValueError, match="2 agent kinds"):
+        agents.GaussianFamilyAgent([ada, meta], spec, RngStream(34))
     agent = agents.GaussianFamilyAgent([ada, meta, ada], spec, rows)
     assert agent.kinds == (ada, meta, ada) and agent.lead == (3,)
 

@@ -1,5 +1,5 @@
-"""The benchmark's workloads write the CSV bytes pinned here, and play as
-the blocks pinned here.
+"""The benchmark's workloads write the CSV bytes pinned here, and each plays
+as one block.
 
 bench/run.py is loaded by path, as tests/test_bench_names.py loads
 bench/spans.py, and each of its WORKLOADS is run once at seed 1 through its
@@ -11,6 +11,7 @@ import importlib.util
 from pathlib import Path
 import sys
 
+import numpy as np
 import pytest
 
 from metabandit import agents, cli, harness
@@ -52,15 +53,21 @@ def test_workload_writes_its_pinned_bytes_at_seed_1(bench_run, name, tmp_path):
 
 
 @pytest.mark.parametrize("name", list(BENCH_CSV_DIGESTS))
-def test_workload_plays_one_sequential_block(bench_run, name, tmp_path):
-    """Every agent that plays its tasks one after another shares one
-    lockstep block; each agent that plays all tasks at once has its own."""
+def test_workload_plays_one_sequential_block(bench_run, name, tmp_path, monkeypatch):
+    """Every agent of a workload plays its tasks one after another in one
+    lockstep block: one _run_agent call over all (agent, run) rows, in
+    config order.  The block's play is stubbed out; only its worlds are
+    sampled, for the task hashes."""
     argv = bench_run.WORKLOADS[name].argv(1, tmp_path / f"{name}.csv")
     config = cli.build_config(cli.parse(argv))
-    at_once = [kind for kind in config.agents
-               if agents.plays_tasks_at_once(kind, config.spec.family)]
-    sequential = [kind for kind in config.agents if kind not in at_once]
-    assert sequential
-    blocks = harness._blocks(config)
-    assert blocks.count(sequential) == 1
-    assert [block for block in blocks if block != sequential] == [[kind] for kind in at_once]
+    played = []
+
+    def recording(config, rows, sampled):
+        played.append(rows)
+        harness._sample_world(config, rows, sampled)
+        lead = (len(rows),)
+        return np.zeros(lead + (config.m, config.n)), agents.initial_meta_posterior(config.spec, lead)
+
+    monkeypatch.setattr(harness, "_run_agent", recording)
+    harness.run_experiment(config)
+    assert played == [[(kind, run) for kind in config.agents for run in range(config.runs)]]

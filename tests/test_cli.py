@@ -357,6 +357,36 @@ def test_mixture_with_tiny_beta_parameters_runs(tmp_path, capsys, mixture):
     assert out.exists()
 
 
+def test_mixture_whose_pinned_predictive_underflows_runs(tmp_path, capsys):
+    """A misassigned-ts row pins a component whose hit probability
+    5e-324 / (alpha + beta) rounds to 0 once alpha + beta >= 2; its
+    log-weight is taken as a difference of logs, so it stays finite and the
+    run writes finite regret."""
+    out = tmp_path / "mix.csv"
+    argv = ["run", "--env", "bernoulli-mixture", "--arms", "3", "--mixture", "5e-324:5e-324;1:1",
+            "--tasks", "3", "--rounds", "20", "--runs", "4",
+            "--agents", "ts,oracle-ts,meta-ts,ada-ts,misassigned-ts", "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 5 * 3 * 20
+    assert all(np.isfinite(float(cell)) for row in rows for cell in row.split(",")[1:])
+
+
+def test_a_failing_run_names_the_first_agent_that_fails(tmp_path, capsys):
+    """The agents play as one block; when it fails, each agent is replayed
+    alone and the error names the first that fails, with its runs, task and
+    round."""
+    out = tmp_path / "out.csv"
+    argv = run_argv(out=str(out), **{
+        "--sigma-q": "1e150", "--tasks": "3", "--rounds": "5", "--runs": "2",
+        "--agents": "ada-ts,meta-ts,ts,oracle-ts"})
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "run failed at agent=ada-ts run=0..1 task=1 round=1: overflow encountered" in err
+    assert not out.exists()
+
+
 # Every agent each family accepts.
 GAUSSIAN_AGENTS = "ts,oracle-ts,meta-ts,ada-ts,ada-ts+,ada-ts-,ada-ts-forced"
 FAMILY_AGENTS = {"gaussian": GAUSSIAN_AGENTS, "linear": GAUSSIAN_AGENTS,

@@ -343,31 +343,16 @@ def test_row_masked_draws_refuse_another_kind_while_any_row_holds_draws():
     streams.rows([1]).random()  # every block used up: any kind
 
 
-@pytest.mark.parametrize("method", ["standard_normal", "random"])
-@pytest.mark.parametrize("size", [(), (3,)])
-def test_task_axis_run_streams_give_each_task_its_draws(method, size):
-    """A task axis lays the m tasks of each run side by side: the draw of
-    (task, run, round) is the one a per-task RunStreams gives that round."""
-    ids, m, n = [4, 9, 1], 5, 7
-    per_task = gc.RunStreams([gc.RngStream(7, i) for i in ids], block=n)
-    at_once = gc.RunStreams([gc.RngStream(7, i) for i in ids], block=n, tasks=m)
-    assert at_once.lead == (m, 3)
-    task_by_task = np.array([getattr(per_task, method)(size) for _ in range(m * n)])
-    all_tasks = np.array([getattr(at_once, method)(size) for _ in range(n)])
-    assert all_tasks.shape == (n, m, 3) + size
-    for task in range(m):
-        for t in range(n):
-            assert all_tasks[t, task].tobytes() == task_by_task[task * n + t].tobytes()
-
-
-@pytest.mark.parametrize("tasks", [None, 3])
+@pytest.mark.parametrize("rows", [None, [1]])
 @pytest.mark.parametrize("method", ["standard_normal", "random"])
 @pytest.mark.parametrize("size", [None, 2, (2, 3)])
-def test_run_stream_draws_are_c_contiguous_arrays_of_their_own(tasks, method, size):
-    """Every draw is a C-contiguous float64 array that owns its data, in
-    lead + size order: writing into one leaves the later draws unchanged."""
+def test_run_stream_draws_are_c_contiguous_arrays_of_their_own(rows, method, size):
+    """Every draw, of all rows or of some (`rows`), is a C-contiguous
+    float64 array that owns its data, in lead + size order: writing into one
+    leaves the later draws unchanged."""
     def streams():
-        return gc.RunStreams([gc.RngStream(7, i) for i in (4, 9)], block=3, tasks=tasks)
+        whole = gc.RunStreams([gc.RngStream(7, i) for i in (4, 9)], block=3)
+        return whole if rows is None else whole.rows(rows)
 
     written, clean = streams(), streams()
     shape = written.lead + (() if size is None else tuple(np.atleast_1d(size)))

@@ -286,8 +286,8 @@ def test_lockstep_mixture_agents_replay_as_one_run_agents(monkeypatch, common_ta
 @pytest.mark.parametrize("family", list(FAMILY_SPECS))
 def test_final_meta_is_each_runs_meta_after_its_last_task(family):
     """Every agent's final meta-posterior, kept with the leading shape
-    (runs,), is row by row the one a one-run agent ends with; for the
-    agents that play all tasks at once it is the meta-prior."""
+    (runs,), is row by row the one a one-run agent ends with; for ts and
+    oracle-ts, which never learn, it is the meta-prior."""
     names = MIXTURE_KINDS if family == "mixture" else GAUSSIAN_KINDS
     config = small_config(agent_names=names, spec=FAMILY_SPECS[family](), runs=3, m=4,
                           n=6, seed=17, common_tasks=False)
@@ -326,12 +326,27 @@ def test_traces_do_not_depend_on_the_refill_size(monkeypatch, family):
                 assert kept.tobytes() == getattr(first.final_meta[label], name).tobytes()
 
 
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+@pytest.mark.parametrize("common_tasks", [True, False])
+def test_first_tasks_of_a_run_do_not_depend_on_the_task_count(family, common_tasks):
+    """Tasks are sampled as one (m,) stack and no stream depends on m, so
+    the first 5 tasks of every run are bit for bit the same at m = 5 and
+    m = 17, for every agent: the curve at task s is the regret of an s-task
+    run."""
+    names = MIXTURE_KINDS if family == "mixture" else GAUSSIAN_KINDS
+    kwargs = dict(agent_names=names, spec=FAMILY_SPECS[family](), runs=2, n=4, seed=37,
+                  common_tasks=common_tasks)
+    short = harness.run_experiment(small_config(m=5, **kwargs))
+    long = harness.run_experiment(small_config(m=17, **kwargs))
+    for label in names:
+        assert long.instant[label][:, :5].tobytes() == short.instant[label].tobytes()
+
+
 @pytest.mark.parametrize("family", ["gaussian", "mixture"])
 @pytest.mark.parametrize("n", [7, 300])
-def test_only_streams_with_a_task_axis_refill_per_task(monkeypatch, family, n):
-    """Agents that play all tasks at once draw one task's rounds per block,
-    for every task at once; any other agent's streams refill every
-    max(n, 256) draws or more, except a mixture agent's own stream, which
+def test_no_stream_refills_per_task(monkeypatch, family, n):
+    """An experiment plays one block, whose agent and reward streams refill
+    every max(n, 256) draws, except a mixture agent's own stream, which
     refills every MIXTURE_REFILL uniforms."""
     built = []
 
@@ -344,42 +359,22 @@ def test_only_streams_with_a_task_axis_refill_per_task(monkeypatch, family, n):
     names = ("ts", "oracle-ts", "meta-ts", "ada-ts") + (() if family == "mixture" else ("ada-ts+",))
     config = small_config(agent_names=names, spec=FAMILY_SPECS[family](), runs=3, m=2, n=n)
     harness.run_experiment(config)
-    at_once = sum(agents.plays_tasks_at_once(kind, config.spec.family) for kind in config.agents)
-    assert at_once == (2 if family == "gaussian" else 0)
-    # an agent and a reward stream for each block: one of the agents that
-    # play their tasks one after another, and one per agent that plays all
-    # tasks at once
-    assert len(built) == 2 * (1 + at_once)
-    assert sum(len(streams.lead) == 2 for streams in built) == 2 * at_once
-    mixture_agent = []
-    for streams in built:
-        if len(streams.lead) == 2:
-            assert (streams.block, streams.lead) == (n, (config.m, config.runs))
-        elif streams.block < max(n, 256):
-            mixture_agent.append(streams.block)
+    # the block's agent and reward streams
+    assert len(built) == 2
+    assert all(streams.lead == (len(names) * config.runs,) for streams in built)
     # a mixture draw is 25 uniforms at 3 arms
-    assert mixture_agent == ([harness.MIXTURE_REFILL // 25] if family == "mixture" else [])
+    blocks = [max(n, 256), harness.MIXTURE_REFILL // 25 if family == "mixture" else max(n, 256)]
+    assert sorted(streams.block for streams in built) == sorted(blocks)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "semibandit", "linear"])
 @pytest.mark.parametrize("common_tasks", [True, False])
-def test_agents_that_play_all_tasks_at_once_replay_task_by_task(monkeypatch, family,
-                                                                common_tasks):
-    """ts and oracle-ts play all m tasks of every run at once; each run is
-    what a one-run agent plays task by task from the run's streams."""
-    leads = []
-    real_act = agents.GaussianFamilyAgent.act
-
-    def recording(agent, t):
-        leads.append(agent.lead)
-        return real_act(agent, t)
-
-    monkeypatch.setattr(agents.GaussianFamilyAgent, "act", recording)
-    config = small_config(agent_names=("ts", "oracle-ts"), spec=FAMILY_SPECS[family](),
+def test_lockstep_gaussian_agents_replay_as_one_run_agents(family, common_tasks):
+    """Every run of every Gaussian-family policy in the block is what a
+    one-run agent plays task by task from the run's streams, bit for bit."""
+    config = small_config(agent_names=GAUSSIAN_KINDS, spec=FAMILY_SPECS[family](),
                           runs=3, m=4, n=6, seed=19, common_tasks=common_tasks)
     trace = harness.run_experiment(config)
-    assert leads == [(config.m, config.runs)] * (2 * config.n)
-    monkeypatch.undo()
     for kind in config.agents:
         for run in range(config.runs):
             instant, _ = _replay_run(config, kind, run)
@@ -406,7 +401,7 @@ def test_rescaled_agents_play_as_one_batch_with_the_bits_of_each_alone(monkeypat
                   common_tasks=common_tasks)
     trace = harness.run_experiment(small_config(agent_names=names, **kwargs))
     assert list(trace.instant) == list(names)
-    assert sorted(built) == [(4, 3), (9,)]
+    assert built == [(12,)]
     monkeypatch.undo()
     for name in names:
         alone = harness.run_experiment(small_config(agent_names=(name,), **kwargs))
@@ -418,9 +413,8 @@ def test_rescaled_agents_play_as_one_batch_with_the_bits_of_each_alone(monkeypat
 @pytest.mark.parametrize("family", list(FAMILY_SPECS))
 @pytest.mark.parametrize("common_tasks", [True, False])
 def test_a_block_of_every_policy_has_the_bits_of_each_alone(monkeypatch, family, common_tasks):
-    """Every policy that plays its tasks one after another shares one block
-    of (kind, run) rows; each label's trace, task hashes and final
-    meta-posterior are those it gets played alone."""
+    """Every policy shares one block of (kind, run) rows; each label's trace,
+    task hashes and final meta-posterior are those it gets played alone."""
     leads = []
     agent_class = agents.MixtureFamilyAgent if family == "mixture" else agents.GaussianFamilyAgent
     real_init = agent_class.__init__
@@ -435,10 +429,7 @@ def test_a_block_of_every_policy_has_the_bits_of_each_alone(monkeypatch, family,
                   common_tasks=common_tasks)
     config = small_config(agent_names=names, **kwargs)
     trace = harness.run_experiment(config)
-    sequential = [kind for kind in config.agents
-                  if not agents.plays_tasks_at_once(kind, config.spec.family)]
-    assert (len(sequential) * config.runs,) in leads
-    assert len(leads) == 1 + len(config.agents) - len(sequential)
+    assert leads == [(len(config.agents) * config.runs,)]
     monkeypatch.undo()
     for name in names:
         alone = harness.run_experiment(small_config(agent_names=(name,), **kwargs))
@@ -602,41 +593,46 @@ def test_failure_diagnostic_names_the_unit(monkeypatch):
         harness.run_single(config, config.agents[0], 0)
 
 
-def _fail_after(monkeypatch, rewards):
-    """Make realize_reward raise once it has been called `rewards` times."""
-    real = hierarchy.realize_reward
-    calls = {"left": rewards}
+def _fail_for(monkeypatch, failures):
+    """Make an agent raise at (task, round) = failures[label] whenever it
+    plays rows of the agent `label`, in a block or alone."""
+    real_begin = agents.GaussianFamilyAgent.begin_task
+    real_act = agents.GaussianFamilyAgent.act
 
-    def flaky(spec, task, action, rng):
-        if calls["left"] == 0:
+    def begin_task(agent, s, m):
+        agent.task = s
+        real_begin(agent, s, m)
+
+    def act(agent, t):
+        if any(failures.get(kind.label) == (agent.task, t) for kind in agent.kinds):
             raise FloatingPointError("synthetic numeric failure")
-        calls["left"] -= 1
-        return real(spec, task, action, rng)
+        return real_act(agent, t)
 
-    monkeypatch.setattr(hierarchy, "realize_reward", flaky)
-
-
-def test_failure_of_all_tasks_at_once_names_every_task(monkeypatch):
-    config = small_config(agent_names=("oracle-ts",), runs=3, m=5, n=4)
-    _fail_after(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match=r"agent=oracle-ts run=0\.\.2 task=1\.\.5 round=3:"):
-        harness.run_experiment(config)
+    monkeypatch.setattr(agents.GaussianFamilyAgent, "begin_task", begin_task)
+    monkeypatch.setattr(agents.GaussianFamilyAgent, "act", act)
 
 
 def test_failure_of_a_batch_names_every_agent_in_it(monkeypatch):
+    """A batch of widths fails as a whole; the error names the one agent
+    that fails alone, chained to the batch's error."""
     config = small_config(agent_names=("ada-ts", "ada-ts+", "ada-ts-"), runs=3, m=3, n=4)
-    _fail_after(monkeypatch, 6)
-    with pytest.raises(RuntimeError, match=r"run failed at agent=ada-ts,ada-ts\+,ada-ts- "
-                                           r"run=0\.\.2 task=2 round=3:"):
+    _fail_for(monkeypatch, {"ada-ts+": (2, 3)})
+    with pytest.raises(RuntimeError, match=r"run failed at agent=ada-ts\+ "
+                                           r"run=0\.\.2 task=2 round=3:") as caught:
         harness.run_experiment(config)
+    assert "agent=ada-ts,ada-ts+,ada-ts- run=0..2 task=2 round=3" in str(caught.value.__cause__)
 
 
 def test_failure_of_a_block_of_policies_names_every_agent_in_it(monkeypatch):
-    config = small_config(agent_names=("meta-ts", "ada-ts"), runs=3, m=3, n=4)
-    _fail_after(monkeypatch, 6)
-    with pytest.raises(RuntimeError, match=r"run failed at agent=meta-ts,ada-ts "
-                                           r"run=0\.\.2 task=2 round=3:"):
+    """Of a block of policies, the error names the first agent in config
+    order that fails alone, not the one whose rows fail first; the block's
+    error, chained to it, names every agent where the block failed."""
+    config = small_config(agent_names=("meta-ts", "ts", "ada-ts"), runs=3, m=3, n=4)
+    _fail_for(monkeypatch, {"ts": (2, 3), "ada-ts": (1, 2)})
+    with pytest.raises(RuntimeError, match=r"run failed at agent=ts "
+                                           r"run=0\.\.2 task=2 round=3:") as caught:
         harness.run_experiment(config)
+    assert "agent=meta-ts,ts,ada-ts run=0..2 task=1 round=2" in str(caught.value.__cause__)
 
 
 def test_failure_while_the_agent_is_built_names_the_unit():
