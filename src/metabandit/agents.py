@@ -32,16 +32,16 @@ statistics) has a leading shape `lead`: (rows,) for many rows in lockstep,
 and () for one run, which is the same code on a stack of one run.  A row is
 one run of one policy, and rows of different policies play as one agent,
 task after task: each row has its own kind, and so its own policy and
-meta-prior width.  The agent builds each row's task prior by its policy's
-rule on that rule's rows (`select_rows`) and joins them row-wise
-(`join_rows`), and folds only the rows that learn, in place, so a row does
-only the work it would do alone.  Each row draws from its own stream, in
-blocks (gauss_core.RunStreams): normals for the Gaussian families, and for
-the mixture a fixed number of uniforms per draw, from which each Beta
-variate is made as a ratio of Gamma variates (gauss_core.log_gamma).  A
-draw that only some rows make (a meta-ts row's draw at task start, the
-rows that sample while ada-ts-forced rows play their opening actions) takes
-those rows of the streams (`rng.rows`).
+meta-prior width.  The agent integrates the meta-posterior into every
+row's task prior, writes the prior of each policy that pins it to one point
+over that policy's rows, in place, and folds only the rows that learn, in
+place, so a row makes only the draws it would make alone.  Each row draws
+from its own stream, in blocks (gauss_core.RunStreams): normals for the
+Gaussian families, and for the mixture a fixed number of uniforms per
+draw, from which each Beta variate is made as a ratio of Gamma variates
+(gauss_core.log_gamma).  A draw that only some rows make (a meta-ts row's
+draw at task start, the rows that sample while ada-ts-forced rows play
+their opening actions) takes those rows of the streams (`rng.rows`).
 """
 
 from dataclasses import dataclass
@@ -348,24 +348,11 @@ def select_rows(state, index):
     return out
 
 
-def join_rows(parts):
-    """One belief from (index, part) pairs whose indices partition its rows:
-    row index[j] of the result is row j of that part."""
-    first = parts[0][1]
-    count = sum(len(getattr(part, first.__slots__[0])) for _, part in parts)
-    out = object.__new__(type(first))
-    for name in first.__slots__:
-        kept = getattr(first, name)
-        joined = np.empty((count,) + kept.shape[1:], kept.dtype)
-        for index, part in parts:
-            joined[index] = getattr(part, name)
-        setattr(out, name, joined)
-    return out
-
-
-def _rule(kind):
-    """The base whose task-start rule `kind` follows (see begin_task)."""
-    return ADA_TS if kind.base in _INTEGRATING else kind.base
+def _write_rows(state, index, part):
+    """Write the belief `part` over the rows `index` of `state`, slot by
+    slot, in place: the inverse of select_rows."""
+    for name in part.__slots__:
+        getattr(state, name)[index] = getattr(part, name)
 
 
 def begin_task(kind, meta, spec, rng, mu_star=None):
@@ -456,28 +443,41 @@ def choose_spanning_actions(actions):
     chosen Gram.  Raises ValueError if the set cannot reach eta >= SPAN_FLOOR,
     as a set of fewer than d actions never can.
     """
-    actions = np.asarray(actions, dtype=float)
-    num, dim = actions.shape
+    chosen, eta = _spanning_rows(np.asarray(actions, dtype=float)[None])
+    return chosen[0].tolist(), float(eta[0])
+
+
+def _spanning_rows(sets):
+    """choose_spanning_actions for each set of a stack (S, K, d): the chosen
+    rows (S, min(d, K)) and each set's eta (S,).  Each greedy step scores
+    every candidate of every set by one stacked eigvalsh: the best candidate
+    has the greatest ascending eigenvalues in lexicographic order, the
+    smallest first, and a tie goes to the lowest index.  The first set that
+    cannot span raises."""
+    count, num, dim = sets.shape
+    outer = sets[..., :, None] * sets[..., None, :]
+    gram = np.zeros((count, dim, dim))
+    free = np.ones((count, num), dtype=bool)
+    at = np.arange(count)
     chosen = []
-    gram = np.zeros((dim, dim))
     for _ in range(min(dim, num)):
-        best_idx, best_score = None, None
-        for idx in range(num):
-            if idx in chosen:
-                continue
-            cand = gram + np.outer(actions[idx], actions[idx])
-            score = tuple(np.linalg.eigvalsh(cand))
-            if best_score is None or score > best_score:
-                best_idx, best_score = idx, score
-        chosen.append(best_idx)
-        gram += np.outer(actions[best_idx], actions[best_idx])
-    eta = float(np.linalg.eigvalsh(gram)[0])
-    if eta < SPAN_FLOOR:
+        scores = np.linalg.eigvalsh(gram[:, None] + outer)
+        best = free
+        for j in range(dim):
+            score = np.where(best, scores[..., j], -np.inf)
+            best = best & (score == score.max(axis=-1, keepdims=True))
+        pick = np.argmax(best, axis=-1)
+        free[at, pick] = False
+        gram += outer[at, pick]
+        chosen.append(pick)
+    eta = np.linalg.eigvalsh(gram)[:, 0]
+    short = np.flatnonzero(eta < SPAN_FLOOR)
+    if short.size:
         raise ValueError(
             f"the {num} actions do not span R^{dim}: the best {len(chosen)} reach "
-            f"exploration strength {eta:.3g} < {SPAN_FLOOR:g}"
+            f"exploration strength {eta[short[0]]:.3g} < {SPAN_FLOOR:g}"
         )
-    return chosen, eta
+    return np.stack(chosen, axis=-1), eta
 
 
 def opening_actions(spec):
@@ -489,7 +489,7 @@ def opening_actions(spec):
         if spec.actions is None:
             raise ValueError("linear forced exploration needs an action set")
         sets = spec.actions.reshape((-1,) + spec.actions.shape[-2:])
-        rows = np.array([choose_spanning_actions(actions)[0] for actions in sets])
+        rows, _ = _spanning_rows(sets)
         return list(rows.T.reshape((spec.dim,) + spec.actions.shape[:-2]))
     if spec.family == hierarchy.SEMIBANDIT:
         return covering_subsets(spec.num_arms, spec.budget)
@@ -663,19 +663,20 @@ class _FamilyAgent:
     right.  `observe` takes an action and its reward, or the array of its
     arms' rewards.
 
-    A row does only the work, and makes only the draws, that it would make
-    alone, so each row uses its own stream as it would alone.  `begin_task`
-    takes the (first) task number and sets the task posterior `post` to
-    each row's task prior (module `begin_task`), built for each rule on that
-    rule's rows (`select_rows`, through `rng.rows`) and joined row-wise
-    (`join_rows`); only meta-ts rows draw there.  ada-ts-forced works out
-    the `opening_actions` of its rows once, when it is built: a linear
-    action set that cannot span R^d raises ValueError there.  In an opening
-    round its rows play them while the other rows sample.  A linear
-    `observe` turns an action index into its feature vector first, and
-    `end_task` folds the task into the meta-posterior of the learning rows,
-    in place, with end_task_linear, mixture_update or end_task_gaussian, by
-    family.
+    A row makes only the draws that it would make alone, so each row uses
+    its own stream as it would alone.  `begin_task` takes the (first) task
+    number and sets the task posterior `post` to each row's task prior
+    (module `begin_task`): the meta-posterior integrated into it over every
+    row, then over the rows of each policy that pins it (meta-ts, oracle-ts,
+    misassigned-ts) that policy's prior, built on its rows (`select_rows`,
+    through `rng.rows`) and written in place; only meta-ts rows draw there.
+    ada-ts-forced works out the `opening_actions` of its rows once, when it
+    is built: a linear action set that cannot span R^d raises ValueError
+    there.  In an opening round its rows play them while the other rows
+    sample.  A linear `observe` turns an action index into its feature
+    vector first, and `end_task` folds the task into the meta-posterior of
+    the learning rows, in place, with end_task_linear, mixture_update or
+    end_task_gaussian, by family.
     """
 
     def __init__(self, kinds, spec, rng, mu_star=None):
@@ -694,8 +695,9 @@ class _FamilyAgent:
         self._linear = spec.family == hierarchy.LINEAR
         self._mixture = spec.family == hierarchy.BERNOULLI_MIXTURE
         self._actions = _action_set(spec)
-        self._starts = [(AgentKind(rule), self._rows_where(lambda k, rule=rule: _rule(k) == rule))
-                        for rule in dict.fromkeys(map(_rule, self.kinds))]
+        self._pinned = [(AgentKind(base), self._rows_where(lambda k, base=base: k.base == base))
+                        for base in dict.fromkeys(k.base for k in self.kinds)
+                        if base not in _INTEGRATING]
         self._learn = self._rows_where(lambda k: k.base in _LEARNING)
         self._forced = self._rows_where(lambda k: k.base == ADA_TS_FORCED)
         self._free = self._rows_where(lambda k: k.base != ADA_TS_FORCED)
@@ -730,9 +732,10 @@ class _FamilyAgent:
         return rows, spec, self.rng.rows(rows), mu_star
 
     def begin_task(self, s, m):
-        priors = [(rows, begin_task(kind, select_rows(self.meta, rows), spec, rng, mu_star))
-                  for kind, (rows, spec, rng, mu_star) in self._starts]
-        self.post = priors[0][1] if len(priors) == 1 else join_rows(priors)
+        self.post = self.meta.task_prior(self.spec)
+        for kind, (rows, spec, rng, mu_star) in self._pinned:
+            prior = begin_task(kind, select_rows(self.meta, rows), spec, rng, mu_star)
+            _write_rows(self.post, rows, prior)
         summary = LinearSummary if self._linear else ArmSummary
         self.summary = summary(self.spec.param_dim, self.lead)
         self.plan = self._opening if self._opening and s in exploring_tasks(m) else []
@@ -764,8 +767,7 @@ class _FamilyAgent:
             meta = mixture_update(meta, summary)
         else:
             meta = (end_task_linear if self._linear else end_task_gaussian)(meta, summary, self.spec)
-        for name in meta.__slots__:
-            getattr(self.meta, name)[rows] = getattr(meta, name)
+        _write_rows(self.meta, rows, meta)
 
 
 class GaussianFamilyAgent(_FamilyAgent):

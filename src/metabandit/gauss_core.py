@@ -90,17 +90,15 @@ def mvn_sample(mean, cov, rng):
     return mean + matvec(lower, z)
 
 
-# Marsaglia-Tsang candidates per Gamma variate (see log_gamma).  One
-# candidate rejects in 4.8 % of draws at shape 1, the worst case, in 1.8 %
-# at shape 2, 0.33 % at 9 and 0.06 % at 50 (2e6 draws each); on the
-# mixture-panel benchmark 1.6 % of variates fall back to a spill draw.  Two
-# candidates cost more in uniforms and arithmetic than the spill draws they
-# save: a pass of that panel took 0.37-0.50 s with two, 0.25-0.34 s with one
-# (2-core Xeon, numpy 2.4).
-GAMMA_CANDIDATES = 1
-# Uniforms per Gamma variate: per candidate two for a Box-Muller normal and
-# one to accept it, then one boost uniform for a shape below 1.
-GAMMA_UNIFORMS = 3 * GAMMA_CANDIDATES + 1
+# Uniforms per Gamma variate (see log_gamma): two for the Box-Muller normal
+# of one Marsaglia-Tsang candidate, one to accept it, then one boost uniform
+# for a shape below 1.  One candidate rejects in 4.8 % of draws at shape 1,
+# the worst case, in 1.8 % at shape 2, 0.33 % at 9 and 0.06 % at 50 (2e6
+# draws each); on the mixture-panel benchmark 1.6 % of variates fall back to
+# a spill draw.  A second candidate costs more in uniforms and arithmetic
+# than the spill draws it saves: a pass of that panel took 0.37-0.50 s with
+# two, 0.25-0.34 s with one (2-core Xeon, numpy 2.4).
+GAMMA_UNIFORMS = 4
 # Below this |w|, _mt_exponent sums four terms of its series (relative error
 # below 1e-12); from it up it takes the direct form, whose rounding error is
 # below 1e-6 of g there and falls as |w| grows.
@@ -137,15 +135,15 @@ def log_gamma(shape, u, rng):
     made from the uniforms `u`, GAMMA_UNIFORMS per entry along a last axis.
 
     Marsaglia and Tsang's (2000) method turns a normal and a uniform into a
-    candidate that is accepted or rejected; each entry takes the first of
-    its GAMMA_CANDIDATES accepted candidates.  So every variate takes the
-    same number of uniforms, and they can be drawn in blocks.  A shape below
-    1 draws at shape + 1 and adds log(U) / shape from its boost uniform.  An
-    entry whose candidates all reject draws `standard_gamma` from the
-    `spill` generator of its row of rng (rows of `rng.lead`, which `shape`
-    extends to the right, its entries in order), so the variate is exactly
-    Gamma and a row's draws depend on no other row.  The result is a log,
-    so that shapes from 1e-300 to 1e300 give finite values.
+    candidate that is accepted or rejected; each entry makes one candidate.
+    So every variate takes the same number of uniforms, and they can be
+    drawn in blocks.  A shape below 1 draws at shape + 1 and adds log(U) /
+    shape from its boost uniform.  An entry whose candidate rejects draws
+    `standard_gamma` from the `spill` generator of its row of rng (rows of
+    `rng.lead`, which `shape` extends to the right, its entries in order),
+    so the variate is exactly Gamma and a row's draws depend on no other
+    row.  The result is a log, so that shapes from 1e-300 to 1e300 give
+    finite values.
     """
     dims, shape, u = shape.shape, shape.ravel(), u.reshape(-1, GAMMA_UNIFORMS)
     small = np.flatnonzero(shape < 1.0)
@@ -153,18 +151,13 @@ def log_gamma(shape, u, rng):
     boosted[small] += 1.0
     d = boosted - 1.0 / 3.0
     c = 1.0 / (3.0 * np.sqrt(d))
-    k = GAMMA_CANDIDATES
     # 1 - u lies in (0, 1], so each log is finite
-    z = np.sqrt(-2.0 * np.log1p(-u[:, :k])) * np.cos(2.0 * np.pi * u[:, k:2 * k])
-    w = c[:, None] * z
+    z = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
+    w = c * z
     inside = w > -1.0
-    accept = inside & (np.log1p(-u[:, 2 * k:3 * k]) < z * z * _mt_exponent(w))
-    log_v = 3.0 * np.log1p(np.where(inside, w, 0.0))
-    chosen = log_v[:, k - 1]
-    for j in range(k - 2, -1, -1):
-        chosen = np.where(accept[:, j], log_v[:, j], chosen)
-    log_x = np.log(d) + chosen
-    missed = np.flatnonzero(~np.any(accept, axis=-1))
+    accept = inside & (np.log1p(-u[:, 2]) < z * z * _mt_exponent(w))
+    log_x = np.log(d) + 3.0 * np.log1p(np.where(inside, w, 0.0))
+    missed = np.flatnonzero(~accept)
     if missed.size:
         owner = missed // (shape.size // len(rng.streams))
         spills = [rng.streams[row].spill for row in owner.tolist()]
@@ -172,7 +165,7 @@ def log_gamma(shape, u, rng):
         log_x[missed] = np.log(drawn)
     if small.size:
         a = shape[small]
-        log_x[small] += np.maximum(np.log1p(-u[small, 3 * k]), -_BOOST_FLOOR * a) / a
+        log_x[small] += np.maximum(np.log1p(-u[small, 3]), -_BOOST_FLOOR * a) / a
     return log_x.reshape(dims)
 
 

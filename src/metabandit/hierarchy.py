@@ -115,8 +115,8 @@ class EnvironmentSpec:
                 ):
                     raise ValueError("actions must have shape ([runs,] num_arms, dim)")
                 norms = np.linalg.norm(self.actions, axis=-1)
-                if np.any(norms > 1.0 + 1e-12):
-                    raise ValueError("linear actions must have norm <= 1")
+                if not np.all(norms <= 1.0 + 1e-12):
+                    raise ValueError("linear actions must be finite, with norm <= 1")
         if self.family == SEMIBANDIT:
             if self.budget is None or not 1 <= self.budget <= self.num_arms:
                 raise ValueError("budget must be in [1, num_arms]")

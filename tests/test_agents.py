@@ -768,6 +768,81 @@ def test_choose_spanning_actions_refuses_a_set_that_cannot_span(actions):
         agents.choose_spanning_actions(np.array(actions))
 
 
+def _spanning_by_loop(actions):
+    """The greedy spanning choice with one eigvalsh call per candidate: the
+    reference that choose_spanning_actions and opening_actions must match,
+    bit for bit, error text included."""
+    num, dim = actions.shape
+    chosen = []
+    gram = np.zeros((dim, dim))
+    for _ in range(min(dim, num)):
+        best_idx, best_score = None, None
+        for idx in range(num):
+            if idx in chosen:
+                continue
+            score = tuple(np.linalg.eigvalsh(gram + np.outer(actions[idx], actions[idx])))
+            if best_score is None or score > best_score:
+                best_idx, best_score = idx, score
+        chosen.append(best_idx)
+        gram += np.outer(actions[best_idx], actions[best_idx])
+    eta = float(np.linalg.eigvalsh(gram)[0])
+    if eta < agents.SPAN_FLOOR:
+        raise ValueError(
+            f"the {num} actions do not span R^{dim}: the best {len(chosen)} reach "
+            f"exploration strength {eta:.3g} < {agents.SPAN_FLOOR:g}"
+        )
+    return chosen, eta
+
+
+def _degenerate_sets(rng, count, num, dim):
+    """`count` action sets (num, dim) of norm at most 1, in which some rows
+    repeat others, some are multiples of others, and some sets lie in a
+    line, so that candidates tie and some sets cannot span."""
+    sets = rng.uniform(-0.5, 0.5, size=(count, num, dim))
+    for actions in sets:
+        for i in range(1, num):
+            roll = rng.random()
+            if roll < 0.3:
+                actions[i] = actions[rng.integers(i)]
+            elif roll < 0.5:
+                actions[i] = actions[rng.integers(i)] * rng.choice([-1.0, 0.5, 2.0])
+        if rng.random() < 0.2:
+            actions[:] = actions[:, :1] * np.ones(dim)
+    return sets / np.maximum(1.0, np.linalg.norm(sets, axis=-1, keepdims=True))
+
+
+def _loop_or_error(actions):
+    try:
+        return _spanning_by_loop(actions)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("num, dim", [(1, 1), (3, 1), (1, 2), (4, 2), (6, 3), (9, 4)])
+def test_spanning_choice_matches_the_loop_over_candidates(num, dim):
+    """One set at a time and stacked as a per-run action set, the stacked
+    eigenvalue scores choose the loop's rows and eta, and refuse a set with
+    the loop's text: for the stack, the first set that cannot span."""
+    rng = np.random.default_rng(num * 10 + dim)
+    sets = _degenerate_sets(rng, 40, num, dim)
+    expected = [_loop_or_error(actions) for actions in sets]
+    for actions, want in zip(sets, expected):
+        try:
+            got = agents.choose_spanning_actions(actions)
+        except ValueError as err:
+            got = str(err)
+        assert got == want
+    spans = np.array([not isinstance(want, str) for want in expected])
+    spec = hierarchy.linear_env(dim, 1.0, 0.1, 1.0, actions=sets[0])
+    if not spans.all():
+        with pytest.raises(ValueError, match=re.escape(expected[np.argmin(spans)])):
+            agents.opening_actions(spec.with_actions(sets))
+    if spans.any():
+        plan = agents.opening_actions(spec.with_actions(sets[spans]))
+        chosen = [want[0] for want, spanning in zip(expected, spans) if spanning]
+        assert np.array_equal(np.array(plan).T, chosen)
+
+
 def test_linear_plan_requires_actions():
     spec = hierarchy.linear_env(2, 1.0, 0.1, 1.0)
     with pytest.raises(ValueError):

@@ -398,8 +398,7 @@ def _rejecting(shapes):
     """Uniforms under which every Marsaglia-Tsang candidate of `shapes`
     rejects: an accept uniform of 0 gives log U = 0, never below z**2 g."""
     u = np.full(np.shape(shapes) + (gc.GAMMA_UNIFORMS,), 0.3)
-    k = gc.GAMMA_CANDIDATES
-    u[..., 2 * k:3 * k] = 0.0
+    u[..., 2] = 0.0
     return u
 
 

@@ -74,6 +74,13 @@ def test_linear_actions_norm_cap():
         hierarchy.linear_env(2, 1.0, 0.1, 1.0, actions=bad)
 
 
+def test_linear_actions_must_be_finite():
+    """A NaN action has a NaN norm, which no cap compares above."""
+    for bad in ([[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            hierarchy.linear_env(2, 1.0, 0.1, 1.0, actions=bad)
+
+
 def test_vector_widths_become_diagonal():
     spec = hierarchy.semibandit_env(
         3, budget=2, sigma_q=[0.5, 0.5, 0.5], sigma_0=[0.0, 0.1, 0.2], noise_sigma=1.0
